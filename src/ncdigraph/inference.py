@@ -7,10 +7,13 @@ the Dyck grammar with the product recognizer.  Brackets are positioned:
 automaton states carry the separator count, so every bracket pair knows its
 vertex endpoints and contributes its arc weights to the objective.  Items
 are computed strictly by increasing vertex span, so the dynamic program is
-a single bottom-up pass; the best derivation's arc multiset is carried in
-the value, making extraction trivial and tie-breaking deterministic
-(maximum weight, then fewest arcs, then lexicographically smallest sorted
-arc list).
+a single bottom-up pass.  It is compiled once per search space into a
+weight-independent op schedule, and that one schedule serves counting (a
+replay with integer values), max-weight parsing (a replay with arc-set
+values) and grammar materialization (its ops read as productions).  The
+best derivation's arc multiset is carried in the value, making extraction
+trivial and tie-breaking deterministic (maximum weight, then fewest arcs,
+then lexicographically smallest sorted arc list).
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ class WeightMatrix:
     w: dict  # (i, j) -> nonnegative weight, diagonal absent
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {self.n}")
         for (i, j), val in self.w.items():
             if i == j:
                 raise ValueError("diagonal weights are not allowed")
@@ -169,6 +174,7 @@ class _Intersection:
         self.req = frozenset(req)
         self.auto = family_automaton(n, self.req, lex)
         self._step_cache: dict = {}
+        self._prog = None
         self._explore()
 
     def step(self, q, b):
@@ -203,135 +209,73 @@ class _Intersection:
         self.states = seen
         self.openers = openers
 
-    def run(self, algebra):
-        """Bottom-up pass by vertex span.  Returns (seq, pairs) where
-        seq[s][qa][qb] is the aggregated value of balanced fragments of span
-        s from qa to qb, and pairs[s] lists (qa, qb, value, record)."""
-        n = self.n
-        seq = [dict() for _ in range(n)]
-        pairs = [list() for _ in range(n)]
-        for q in self.states:
-            seq[0].setdefault(q, {})[q] = algebra.empty()
-        for s in range(1, n):
-            # content rows: spans s with every pair strictly smaller
-            content: dict = {}
-            if s >= 1:
-                for q in self.states:
-                    content.setdefault(q, {})
-                for p in range(1, s):
-                    for (qa, qb, val, _rec) in pairs[p]:
-                        rest = seq[s - p].get(qb)
-                        if not rest:
-                            continue
-                        row = content[qa]
-                        for qc, v2 in rest.items():
-                            algebra.join(row, qc, algebra.concat(val, v2))
-            # boundary pair has span 1
-            if s == 1:
-                for q in self.states:
-                    q1 = self.step(q, BOUNDARY_OPEN)
-                    if q1 is None:
-                        continue
-                    q2 = self.step(q1, BOUNDARY_CLOSE)
-                    if q2 is not None:
-                        pairs[1].append((q, q2, algebra.empty(),
-                                         ("sep", q, q2)))
-            # edge pairs of span s
-            for qa in self.states:
-                for o in _opener_candidates(qa[0]):
-                    q1 = self.step(qa, o)
-                    if q1 is None:
-                        continue
-                    u = self.count_of(qa) + 1
-                    v = u + s
-                    if v > n:
-                        continue
-                    closer = o.partner()
-                    if s == 1:
-                        # content of a span-1 pair is exactly one boundary pair
-                        inner = {}
-                        qq1 = self.step(q1, BOUNDARY_OPEN)
-                        if qq1 is not None:
-                            qq2 = self.step(qq1, BOUNDARY_CLOSE)
-                            if qq2 is not None:
-                                inner[qq2] = algebra.empty()
-                    else:
-                        inner = content.get(q1, {})
-                    if not inner:
-                        continue
-                    for q2, cval in inner.items():
-                        if self.count_of(q2) - self.count_of(q1) != s:
-                            continue
-                        qb = self.step(q2, closer)
-                        if qb is None:
-                            continue
-                        pv = algebra.pair(o.orientation, u, v, cval)
-                        pairs[s].append((qa, qb, pv, ("pair", o, u, v, q1, q2)))
-            # full sequences of span s
-            for p in range(1, s + 1):
-                for (qa, qb, val, _rec) in pairs[p]:
-                    rest = seq[s - p].get(qb)
-                    if not rest:
-                        continue
-                    row = seq[s].setdefault(qa, {})
-                    for qc, v2 in rest.items():
-                        algebra.join(row, qc, algebra.concat(val, v2))
-        return seq, pairs
+    def _compile(self):
+        """Weight-independent op schedule of the span DP, by increasing
+        vertex span.  Returns (program, cell_keys, pair_index):
 
-    def _program(self):
-        """Weight-independent op schedule of the span DP.
+        - program = (ncells, empty_cells, span_ops, finals).  empty_cells
+          start as the empty fragment.  span_ops[s - 1] = (content_ops,
+          pairs, seq_ops): an op (dst, pid, src) joins pair pid followed by
+          cell src into cell dst; pairs defines the span's pairs in pid
+          order, None for a boundary pair, else (orientation, u, v, content
+          cell).  A content cell of span s holds the insides of the edge
+          pairs of span s, built from shorter pairs.  finals lists
+          (final state, cell).
+        - cell_keys[c] = (kind, span, qa, qb) and pair_index[s] lists
+          (qa, qb, pid, opener or None, content cell) for span s: the
+          product states at the ends of cells and pairs.  Only grammar
+          materialization reads them, so _program does not keep them.
 
-        Cells hold aggregated fragment values, pair slots hold single-pair
-        values; replaying the ops with any algebra reproduces run()'s
-        aggregation without touching the automaton again.
+        A state's counter component is its vertex count, so a fragment's
+        span is the count difference of its ends.
         """
-        if hasattr(self, "_prog"):
-            return self._prog
         n = self.n
         cell_ids: dict = {}
 
         def cell(kind, s, qa, qb):
-            key = (kind, s, qa, qb)
-            if key not in cell_ids:
-                cell_ids[key] = len(cell_ids)
-            return cell_ids[key]
+            return cell_ids.setdefault((kind, s, qa, qb), len(cell_ids))
+
+        def join(kind, s, spans, rows):
+            ops = []
+            for p in spans:
+                for (qa, qb, pid, _o, _c) in pair_index[p]:
+                    rest = seq_rows[s - p].get(qb)
+                    if not rest:
+                        continue
+                    row = rows.setdefault(qa, {})
+                    for qc, src in rest.items():
+                        dst = row.get(qc)
+                        if dst is None:
+                            dst = row[qc] = cell(kind, s, qa, qc)
+                        ops.append((dst, pid, src))
+            return ops
 
         empty_cells = []
         seq_rows = [dict() for _ in range(n)]  # span -> qa -> {qb: cell}
         for q in self.states:
             c = cell("seq", 0, q, q)
+            seq_rows[0][q] = {q: c}
             empty_cells.append(c)
-            seq_rows[0].setdefault(q, {})[q] = c
-        pair_defs: list = []   # pid -> ("sep",) | ("edge", orient, u, v, content cell)
-        pair_index = [dict() for _ in range(n)]  # span -> list of (qa, qb, pid)
+        pair_index = [[] for _ in range(n)]
+        npairs = 0
         span_ops = []
         for s in range(1, n):
-            content_ops: list = []
-            seq_ops: list = []
             content_rows: dict = {}
-            for p in range(1, s):
-                for (qa, qb, pid) in pair_index[p].get("entries", []):
-                    rest = seq_rows[s - p].get(qb)
-                    if not rest:
-                        continue
-                    row = content_rows.setdefault(qa, {})
-                    for qc, src in rest.items():
-                        dst = row.get(qc)
-                        if dst is None:
-                            dst = cell("content", s, qa, qc)
-                            row[qc] = dst
-                        content_ops.append((dst, pid, src))
-            entries: list = []
+            content_ops = join("content", s, range(1, s), content_rows)
+            entries, pairs = pair_index[s], []
             if s == 1:
+                # boundary pairs; each is also the whole inside of a span-1
+                # edge pair
                 for q in self.states:
                     q1 = self.step(q, BOUNDARY_OPEN)
-                    if q1 is None:
-                        continue
-                    q2 = self.step(q1, BOUNDARY_CLOSE)
+                    q2 = None if q1 is None else self.step(q1, BOUNDARY_CLOSE)
                     if q2 is not None:
-                        pid = len(pair_defs)
-                        pair_defs.append(("sep",))
-                        entries.append((q, q2, pid))
+                        entries.append((q, q2, npairs, None, None))
+                        pairs.append(None)
+                        npairs += 1
+                        c = cell("content", 1, q, q2)
+                        content_rows[q] = {q2: c}
+                        empty_cells.append(c)
             for qa in self.states:
                 u = self.count_of(qa) + 1
                 v = u + s
@@ -342,81 +286,59 @@ class _Intersection:
                     if q1 is None:
                         continue
                     closer = o.partner()
-                    if s == 1:
-                        inner = {}
-                        qq1 = self.step(q1, BOUNDARY_OPEN)
-                        if qq1 is not None:
-                            qq2 = self.step(qq1, BOUNDARY_CLOSE)
-                            if qq2 is not None:
-                                ccell = cell("content", 1, q1, qq2)
-                                content_ops.append((ccell, None, None))
-                                inner[qq2] = ccell
-                    else:
-                        inner = content_rows.get(q1, {})
-                    for q2, ccell in inner.items():
-                        if self.count_of(q2) - self.count_of(q1) != s:
-                            continue
+                    for q2, ccell in content_rows.get(q1, {}).items():
                         qb = self.step(q2, closer)
                         if qb is None:
                             continue
-                        pid = len(pair_defs)
-                        pair_defs.append(("edge", o.orientation, u, v, ccell))
-                        entries.append((qa, qb, pid))
-            pair_index[s]["entries"] = entries
-            for p in range(1, s + 1):
-                for (qa, qb, pid) in pair_index[p].get("entries", []):
-                    rest = seq_rows[s - p].get(qb)
-                    if not rest:
-                        continue
-                    row = seq_rows[s].setdefault(qa, {})
-                    for qc, src in rest.items():
-                        dst = row.get(qc)
-                        if dst is None:
-                            dst = cell("seq", s, qa, qc)
-                            row[qc] = dst
-                        seq_ops.append((dst, pid, src))
-            span_ops.append((content_ops, seq_ops))
-        finals = []
-        for qf, c in seq_rows[n - 1].get(self.auto.start, {}).items():
-            if self.auto.is_final(qf):
-                finals.append((qf, c))
-        self._prog = (len(cell_ids), empty_cells, pair_defs, span_ops, finals)
+                        entries.append((qa, qb, npairs, o, ccell))
+                        pairs.append((o.orientation, u, v, ccell))
+                        npairs += 1
+            seq_ops = join("seq", s, range(1, s + 1), seq_rows[s])
+            span_ops.append((content_ops, pairs, seq_ops))
+        finals = [(qf, c) for qf, c in seq_rows[n - 1].get(self.auto.start, {}).items()
+                  if self.auto.is_final(qf)]
+        program = (len(cell_ids), empty_cells, span_ops, finals)
+        return program, list(cell_ids), pair_index
+
+    def _program(self):
+        """The cached op schedule; the state endpoints are not kept."""
+        if self._prog is None:
+            self._prog = self._compile()[0]
         return self._prog
 
-    def totals(self, algebra) -> dict:
-        """Aggregated values over the whole language, keyed by final state."""
-        ncells, empty_cells, pair_defs, span_ops, finals = self._program()
+    def replay(self, algebra) -> tuple:
+        """Values of every cell and pair under `algebra`, by replaying the
+        op schedule without touching the automaton again."""
+        ncells, empty_cells, span_ops, _finals = self._program()
         cells = [None] * ncells
         empty = algebra.empty()
         for c in empty_cells:
             cells[c] = empty
-        pairvals = [None] * len(pair_defs)
+        pairvals: list = []
         pair_alg = algebra.pair
         concat = algebra.concat
         joinval = algebra.joinval
-        for (content_ops, seq_ops) in span_ops:
+        # Every cell and pair the compiler creates gets a value: each op reads
+        # pairs and cells of earlier spans or of this span's earlier phase,
+        # and each of those was written.  So only a cell's first write needs
+        # a test.
+        for (content_ops, pairs, seq_ops) in span_ops:
             for (dst, pid, src) in content_ops:
-                if pid is None:
-                    cells[dst] = empty
-                    continue
                 val = concat(pairvals[pid], cells[src])
                 cur = cells[dst]
                 cells[dst] = val if cur is None else joinval(cur, val)
-            for pid, d in enumerate(pair_defs):
-                if pairvals[pid] is not None:
-                    continue
-                if d[0] == "sep":
-                    pairvals[pid] = empty
-                elif cells[d[4]] is not None:
-                    pairvals[pid] = pair_alg(d[1], d[2], d[3], cells[d[4]])
+            pairvals += [empty if d is None else pair_alg(d[0], d[1], d[2], cells[d[3]])
+                         for d in pairs]
             for (dst, pid, src) in seq_ops:
-                pv = pairvals[pid]
-                if pv is None:
-                    continue
-                val = concat(pv, cells[src])
+                val = concat(pairvals[pid], cells[src])
                 cur = cells[dst]
                 cells[dst] = val if cur is None else joinval(cur, val)
-        return {qf: cells[c] for qf, c in finals if cells[c] is not None}
+        return cells, pairvals
+
+    def totals(self, algebra) -> dict:
+        """Aggregated values over the whole language, keyed by final state."""
+        cells, _pairvals = self.replay(algebra)
+        return {qf: cells[c] for qf, c in self._program()[3]}
 
 
 class _CountAlgebra:
@@ -428,9 +350,6 @@ class _CountAlgebra:
 
     def pair(self, orientation, u, v, content):
         return content
-
-    def join(self, row, key, val):
-        row[key] = row.get(key, 0) + val
 
     def joinval(self, a, b):
         return a + b
@@ -471,11 +390,6 @@ class _MaxAlgebra:
             return a[1] < b[1]
         return a[2] < b[2]
 
-    def join(self, row, key, val):
-        cur = row.get(key)
-        if cur is None or self._better(val, cur):
-            row[key] = val
-
     def joinval(self, a, b):
         return a if self._better(a, b) else b
 
@@ -503,67 +417,42 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     Nonterminals are ("S"|"P", state, state) pairs over the product
     recognizer Reg_lat ∩ G_n ∩ constraints; terminals are latent brackets.
+    The productions are read off the compiled op schedule: a sequence op
+    gives S → P S, a pair gives P → { } or P → opener S closer, a span-0
+    cell gives S → ε and a final gives S0 → S.
     """
     inter = _intersection(n, req, lex)
-    seq, pairs = inter.run(_CountAlgebra())
+    (_ncells, _empty, span_ops, finals), cell_keys, pair_index = inter._compile()
 
-    productions: list = []
-    seen_items: set = set()
+    def seq_nt(c):
+        return ("S",) + cell_keys[c][2:]
 
-    def seq_nt(qa, qb):
-        return ("S", qa, qb)
-
-    def pair_nt(qa, qb):
-        return ("P", qa, qb)
-
-    # sequence productions: S(qa,qc) -> P(qa,qb) S(qb,qc) | eps
-    realizable_seq = set()
-    for s in range(inter.n):
-        for qa, row in seq[s].items():
-            for qc in row:
-                realizable_seq.add((qa, qc, s))
-    realizable_pairs = {}
-    for s in range(inter.n):
-        for (qa, qb, _val, rec) in pairs[s]:
-            realizable_pairs.setdefault((qa, qb, s), []).append(rec)
-
-    for (qa, qc, s) in sorted(realizable_seq, key=repr):
-        if s == 0:
-            productions.append((seq_nt(qa, qc), ()))
-            continue
-        for p in range(1, s + 1):
-            for (qx, qb, _val, _rec) in pairs[p]:
-                if qx != qa:
-                    continue
-                if (qb, qc, s - p) in realizable_seq:
-                    productions.append(
-                        (seq_nt(qa, qc), (pair_nt(qa, qb), seq_nt(qb, qc))))
-    for (qa, qb, s), recs in sorted(realizable_pairs.items(), key=repr):
-        for rec in recs:
-            if rec[0] == "sep":
-                productions.append(
-                    (pair_nt(qa, qb), (BOUNDARY_OPEN, BOUNDARY_CLOSE)))
-            else:
-                _tag, opener, u, v, q1, q2 = rec
-                productions.append(
-                    (pair_nt(qa, qb), (opener, seq_nt(q1, q2), opener.partner())))
-
+    productions = {(("S", qa, qb), ()) for (_k, s, qa, qb) in cell_keys if s == 0}
+    for (_content_ops, _pairs, seq_ops) in span_ops:
+        productions.update(
+            (seq_nt(dst), (("P", cell_keys[dst][2], cell_keys[src][2]), seq_nt(src)))
+            for (dst, _pid, src) in seq_ops)
+    for entries in pair_index:
+        for (qa, qb, _pid, opener, ccell) in entries:
+            rhs = ((BOUNDARY_OPEN, BOUNDARY_CLOSE) if opener is None
+                   else (opener, seq_nt(ccell), opener.partner()))
+            productions.add((("P", qa, qb), rhs))
     start = ("S0",)
-    top_span = inter.n - 1
-    for qf in sorted(seq[top_span].get(inter.auto.start, {}), key=repr):
-        if inter.auto.is_final(qf):
-            productions.append((start, (seq_nt(inter.auto.start, qf),)))
-    if not any(lhs == start for lhs, _ in productions):
+    productions.update((start, (seq_nt(c),)) for (_qf, c) in finals)
+    if not finals:
         # empty language: the start expands only to an unproductive marker
-        productions.append((start, (("DEAD",),)))
-        productions.append((("DEAD",), (("DEAD",),)))
-    productions = list(dict.fromkeys(productions))
-    return Grammar(start, tuple(productions))
+        productions.add((start, (("DEAD",),)))
+        productions.add((("DEAD",), (("DEAD",),)))
+    return Grammar(start, tuple(sorted(productions, key=repr)))
 
 
 def parse_max(w: WeightMatrix, req: Iterable = (),
               lex: Optional[LexicalConstraint] = None) -> ParseResult:
     """Exact argmax of the arc-weight sum over the requested family."""
+    if lex is not None:
+        for v in sorted(lex.flags):
+            if not 1 <= v <= w.n:
+                raise ValueError(f"lexicon vertex {v} out of range 1..{w.n}")
     inter = _intersection(w.n, req, lex)
     alg = _MaxAlgebra(w)
     totals = inter.totals(alg)

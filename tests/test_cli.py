@@ -103,6 +103,28 @@ def test_parse_empty_family_exit_2(tmp_path, capsys):
     assert "no parse" in err
 
 
+def test_parse_weights_without_vertices_exit_1(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    for first in ("n 0", "n -2"):
+        f.write_text(first + "\n")
+        status, out, err = invoke(capsys, "parse", "--weights", str(f))
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_lexicon_vertex_out_of_range_exit_1(tmp_path, capsys):
+    w = tmp_path / "w.txt"
+    w.write_text("n 3\n1 2 5\n")
+    lex = tmp_path / "lex.txt"
+    lex.write_text("7 out-left\n")
+    status, out, err = invoke(capsys, "parse", "--weights", str(w),
+                              "--lexicon", str(lex))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "7" in err
+
+
 def test_malformed_input_exit_1(tmp_path, capsys):
     f = tmp_path / "bad.dg"
     f.write_text("not a digraph\n")

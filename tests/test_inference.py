@@ -54,6 +54,11 @@ def test_intersection_grammar_object():
     # language = four 2-vertex digraphs; count derivations by length
     total = sum(cfg.string_counts_by_length(g, 8))
     assert total == 4
+    fam = frozenset({PropertyId.ACYC_D})
+    g = build_intersection_grammar(4, fam)
+    # 3 boundary pairs and at most 2n - 3 = 5 arc pairs, two tokens each
+    assert sum(cfg.string_counts_by_length(g, 16)) == \
+        count_family_strings(4, fam) == count_family(4, fam)
 
 
 def test_intersection_grammar_empty_family():
@@ -81,6 +86,29 @@ def _grammar_strings(g, max_len=60):
     return out
 
 
+# vertex 1 only sends arcs rightwards; vertex 3 only receives from the left
+# or takes part in a two-way pair
+_LEX_FLAGS = {1: frozenset({"out-right"}), 3: frozenset({"in-left", "bidir"})}
+
+
+def _lexicon(n):
+    return LexicalConstraint({v: f for v, f in _LEX_FLAGS.items() if v <= n})
+
+
+def _lexicon_permits(d, lex):
+    """Direct reading of the lexicon flags on the arcs of a digraph."""
+    for (a, b) in d.arcs:
+        if (b, a) in d.arcs:
+            need = ((a, "bidir"), (b, "bidir"))
+        elif a < b:
+            need = ((a, "out-right"), (b, "in-left"))
+        else:
+            need = ((a, "out-left"), (b, "in-right"))
+        if not all(flag in lex.allowed(v) for v, flag in need):
+            return False
+    return True
+
+
 def test_intersection_grammar_language_is_family():
     from ncdigraph.latent import latent_to_str
 
@@ -88,12 +116,34 @@ def test_intersection_grammar_language_is_family():
             frozenset({PropertyId.CONN_W, PropertyId.ACYC_U}))
     for fam in fams:
         for n in (1, 2, 3):
-            g = build_intersection_grammar(n, fam)
-            got = {"".join(b.token for b in s) for s in _grammar_strings(g)}
-            want = {latent_to_str(latent_encode(d))
-                    for d in enumerate_noncrossing_digraphs(n)
-                    if all(check_property(d, p) for p in fam)}
-            assert got == want
+            for lex in (None, _lexicon(n)):
+                g = build_intersection_grammar(n, fam, lex)
+                got = {"".join(b.token for b in s) for s in _grammar_strings(g)}
+                want = {latent_to_str(latent_encode(d))
+                        for d in enumerate_noncrossing_digraphs(n)
+                        if all(check_property(d, p) for p in fam)
+                        and (lex is None or _lexicon_permits(d, lex))}
+                assert got == want
+    # the lexicon does cut the n = 3 family down, but not to nothing
+    lex = _lexicon(3)
+    kept = [d for d in enumerate_noncrossing_digraphs(3)
+            if _lexicon_permits(d, lex)]
+    assert 0 < len(kept) < count_family(3, frozenset())
+
+
+def test_compiled_program_leaves_no_dead_value():
+    # every cell and pair the compiler creates is written by the replay
+    from ncdigraph.inference import _CountAlgebra, _intersection
+
+    fams = (frozenset(), frozenset({PropertyId.ACYC_D}),
+            frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
+    for fam in fams:
+        for n in (1, 2, 3, 4):
+            for lex in (None, _lexicon(n)):
+                cells, pairs = _intersection(n, fam, lex).replay(_CountAlgebra())
+                assert None not in cells
+                assert None not in pairs
+                assert all(v > 0 for v in cells + pairs)
 
 
 def test_parse_max_all_ones_n3():
@@ -185,6 +235,14 @@ def test_fraction_weights_and_files():
     brute = brute_force_max(w, {PropertyId.ACYC_D})
     assert res.weight == brute.weight
     assert isinstance(res.weight, Fraction) or res.weight == brute.weight
+
+
+def test_parse_rejects_lexicon_vertex_out_of_range():
+    w = WeightMatrix(3, {(1, 2): 1})
+    for v in (0, 4, 7):
+        lex = LexicalConstraint({v: frozenset({"bidir"})})
+        with pytest.raises(ValueError, match="out of range"):
+            parse_max(w, (), lex)
 
 
 def test_lexicon_parsing():
