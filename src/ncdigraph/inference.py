@@ -9,16 +9,21 @@ vertex endpoints and contributes its arc weights to the objective.  Items
 are computed strictly by increasing vertex span, so the dynamic program is
 a single bottom-up pass.  It is compiled once per search space into a
 weight-independent op schedule, and that one schedule serves counting (a
-replay with integer values), max-weight parsing (a replay with arc-set
-values) and grammar materialization (its ops read as productions).  The
-best derivation's arc multiset is carried in the value, making extraction
-trivial and tie-breaking deterministic (maximum weight, then fewest arcs,
-then lexicographically smallest sorted arc list).
+replay with integer counts), max-weight parsing (a replay with integer
+max-plus keys) and grammar materialization (its ops read as productions).
+A max key packs the scaled weight, the arc count and an arc bitmask into one
+Python integer, so the integer maximum is the documented tie-break (maximum
+weight, then fewest arcs, then lexicographically smallest sorted arc list)
+and the best arc set is decoded from the winning key's low bits.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -39,7 +44,7 @@ class NoParseError(ValueError):
 @dataclass(frozen=True)
 class WeightMatrix:
     n: int
-    w: dict  # (i, j) -> nonnegative weight, diagonal absent
+    w: dict  # (i, j) -> nonnegative finite real weight, diagonal absent
 
     def __post_init__(self):
         if self.n < 1:
@@ -49,6 +54,12 @@ class WeightMatrix:
                 raise ValueError("diagonal weights are not allowed")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"weight index ({i},{j}) out of range")
+            if not isinstance(val, numbers.Real):
+                raise ValueError(f"weight {val!r} at ({i},{j}) is not a real number")
+            try:
+                Fraction(val)
+            except (ValueError, OverflowError):
+                raise ValueError(f"weight {val!r} at ({i},{j}) is not finite") from None
             if val < 0:
                 raise ValueError("weights must be nonnegative")
 
@@ -342,56 +353,63 @@ class _Intersection:
 
 
 class _CountAlgebra:
+    concat = operator.mul
+    joinval = operator.add
+
     def empty(self):
         return 1
-
-    def concat(self, a, b):
-        return a * b
 
     def pair(self, orientation, u, v, content):
         return content
 
-    def joinval(self, a, b):
-        return a + b
-
 
 class _MaxAlgebra:
-    """Values are (weight, arc count, sorted arc tuple)."""
+    """Values are integer keys of arc sets A:
+
+        key(A) = W(A)·M1 − |A|·M2 + mask(A)
+
+    W is the arc-weight sum scaled to an integer by the least common
+    multiple of the weights' denominators.  mask sets bit N−1−r for each
+    arc, where r(i, j) = (i−1)·n + (j−1) is the arc's rank in sorted order
+    and N = n².  M2 = 2^N and M1 = (n²+2)·M2 keep the three fields apart, so
+    the larger key has the larger weight, then fewer arcs, then the larger
+    mask.  Of two arc sets of one size, the lexicographically smaller
+    sorted list is the one holding the smallest arc of their symmetric
+    difference, which is the one with the larger mask.  The two parts of a
+    concat have disjoint arcs, so adding their keys unions their masks.
+    """
+
+    concat = operator.add
+    joinval = max
 
     def __init__(self, w: WeightMatrix):
-        self.w = w
+        n = self.n = w.n
+        m2 = self.m2 = 1 << (n * n)
+        m1 = (n * n + 2) * m2
+        scale = math.lcm(*(Fraction(v).denominator for v in w.w.values()))
+        self._arc = {}  # (i, j) -> key of the one-arc set {(i, j)}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    r = (i - 1) * n + (j - 1)
+                    weight = int(Fraction(w.get(i, j)) * scale)
+                    self._arc[i, j] = weight * m1 - m2 + (1 << (n * n - 1 - r))
 
     def empty(self):
-        return (0, 0, ())
-
-    @staticmethod
-    def _merge(a: tuple, b: tuple) -> tuple:
-        return tuple(sorted(a + b))
-
-    def concat(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], self._merge(a[2], b[2]))
+        return 0
 
     def pair(self, orientation, u, v, content):
         if orientation == FORWARD:
-            arcs = ((u, v),)
-        elif orientation == BACKWARD:
-            arcs = ((v, u),)
-        else:
-            arcs = ((u, v), (v, u))
-        weight = sum(self.w.get(i, j) for (i, j) in arcs)
-        return (content[0] + weight, content[1] + len(arcs),
-                self._merge(content[2], arcs))
+            return content + self._arc[u, v]
+        if orientation == BACKWARD:
+            return content + self._arc[v, u]
+        return content + self._arc[u, v] + self._arc[v, u]
 
-    @staticmethod
-    def _better(a, b) -> bool:
-        if a[0] != b[0]:
-            return a[0] > b[0]
-        if a[1] != b[1]:
-            return a[1] < b[1]
-        return a[2] < b[2]
-
-    def joinval(self, a, b):
-        return a if self._better(a, b) else b
+    def arcs(self, key: int) -> frozenset:
+        """The arc set whose mask is the low field of `key`."""
+        n, mask = self.n, key % self.m2
+        return frozenset((r // n + 1, r % n + 1) for r in range(n * n)
+                         if mask >> (n * n - 1 - r) & 1)
 
 
 _INTERSECTION_CACHE: dict = {}
@@ -399,6 +417,12 @@ _INTERSECTION_CACHE: dict = {}
 
 def _intersection(n: int, req: Iterable = (),
                   lex: Optional[LexicalConstraint] = None) -> _Intersection:
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
+    if lex is not None:
+        for v in sorted(lex.flags):
+            if not 1 <= v <= n:
+                raise ValueError(f"lexicon vertex {v} out of range 1..{n}")
     key = (n, frozenset(req), lex.key() if lex is not None else None)
     if key not in _INTERSECTION_CACHE:
         _INTERSECTION_CACHE[key] = _Intersection(n, req, lex)
@@ -449,21 +473,13 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 def parse_max(w: WeightMatrix, req: Iterable = (),
               lex: Optional[LexicalConstraint] = None) -> ParseResult:
     """Exact argmax of the arc-weight sum over the requested family."""
-    if lex is not None:
-        for v in sorted(lex.flags):
-            if not 1 <= v <= w.n:
-                raise ValueError(f"lexicon vertex {v} out of range 1..{w.n}")
     inter = _intersection(w.n, req, lex)
     alg = _MaxAlgebra(w)
     totals = inter.totals(alg)
     if not totals:
         raise NoParseError("the requested family is empty for this input")
-    best = None
-    for val in totals.values():
-        if best is None or alg._better(val, best):
-            best = val
-    weight, _count, arcs = best
-    return ParseResult(Digraph(w.n, frozenset(arcs)), weight)
+    arcs = alg.arcs(max(totals.values()))
+    return ParseResult(Digraph(w.n, arcs), sum(w.get(i, j) for (i, j) in sorted(arcs)))
 
 
 @lru_cache(maxsize=None)
@@ -509,19 +525,17 @@ def brute_force_max(w: WeightMatrix, req: Iterable = ()) -> ParseResult:
     req = frozenset(req)
     if all(isinstance(v, int) for v in w.w.values()):
         return _brute_force_max_int(w, req)
-    best = None
-    best_arcs = None
+    best = None  # (weight, arc count, sorted arcs)
     for arcs, props in _family_table(w.n):
         if not req <= props:
             continue
         weight = sum(w.get(i, j) for (i, j) in arcs)
-        key = (weight, len(arcs), arcs)
-        if best is None or _MaxAlgebra._better(key, best):
-            best = key
-            best_arcs = arcs
+        if best is None or weight > best[0] or (
+                weight == best[0] and (len(arcs), arcs) < best[1:]):
+            best = (weight, len(arcs), arcs)
     if best is None:
         raise NoParseError("the requested family is empty for this input")
-    return ParseResult(Digraph(w.n, frozenset(best_arcs)), best[0])
+    return ParseResult(Digraph(w.n, frozenset(best[2])), best[0])
 
 
 def _brute_force_max_int(w: WeightMatrix, req: frozenset) -> ParseResult:

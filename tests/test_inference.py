@@ -182,6 +182,32 @@ def test_parse_matches_brute_random():
                 assert all(check_property(pm.digraph, p) for p in fam)
 
 
+def test_parse_tie_break_matches_brute():
+    # tie-heavy weights: many equal-weight optima, broken by fewest arcs and
+    # then by the smallest sorted arc list; the digraph, the weight and its
+    # type must all match the oracle
+    rng = random.Random(31)
+    fams = [frozenset(), frozenset({PropertyId.ACYC_D}),
+            frozenset({PropertyId.UNAMB_S}), frozenset({PropertyId.PROJ_W}),
+            frozenset({PropertyId.INV}), parse_property_set("out-tree"),
+            parse_property_set("polytree"), parse_property_set("mixed-tree")]
+    small = (0, 1, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+    for n in (2, 3, 4, 5):
+        for fam in fams:
+            for trial in range(6 if n < 5 else 3):
+                ints = trial % 3 > 0
+                w = WeightMatrix(n, {(i, j): rng.randrange(3) if ints
+                                     else rng.choice(small)
+                                     for i in range(1, n + 1)
+                                     for j in range(1, n + 1)
+                                     if i != j and rng.random() < 0.7})
+                pm = parse_max(w, fam)
+                bm = brute_force_max(w, fam)
+                assert pm.digraph == bm.digraph, (n, sorted(fam), w.w)
+                assert pm.weight == bm.weight
+                assert type(pm.weight) is type(bm.weight)
+
+
 def test_zero_matrix_tie_breaking():
     w = WeightMatrix(4, {})
     res = parse_max(w)
@@ -243,6 +269,32 @@ def test_parse_rejects_lexicon_vertex_out_of_range():
         lex = LexicalConstraint({v: frozenset({"bidir"})})
         with pytest.raises(ValueError, match="out of range"):
             parse_max(w, (), lex)
+
+
+def test_chart_entry_points_reject_bad_input_before_caching():
+    from ncdigraph.inference import _INTERSECTION_CACHE
+
+    before = len(_INTERSECTION_CACHE)
+    for call in (count_family_strings, build_intersection_grammar):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                call(n)
+        for v in (0, 4, 9):
+            lex = LexicalConstraint({v: frozenset()})
+            with pytest.raises(ValueError, match="out of range"):
+                call(3, (), lex)
+    assert len(_INTERSECTION_CACHE) == before
+
+
+def test_weight_matrix_rejects_unrankable_weights():
+    for val in (float("nan"), float("inf"), -float("inf"), "3", None, 1j):
+        with pytest.raises(ValueError):
+            WeightMatrix(2, {(1, 2): val})
+    # finite floats are ranked exactly
+    w = WeightMatrix(3, {(1, 2): 0.1, (2, 3): 0.2, (1, 3): 0.3})
+    res = parse_max(w, {PropertyId.ACYC_U})
+    assert res.digraph.arcs == frozenset({(1, 3), (2, 3)})
+    assert res == brute_force_max(w, {PropertyId.ACYC_U})
 
 
 def test_lexicon_parsing():
