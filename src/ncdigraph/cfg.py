@@ -130,6 +130,71 @@ class ProductDfa(Dfa):
         return all(c.is_final(qc) for c, qc in zip(self.components, q))
 
 
+class TableDfa(Dfa):
+    """Minimal recognizer with integer states over a fixed symbol list.
+
+    ``delta[q][a]`` is the successor of state q on ``symbols[a]``, -1 for the
+    dead state, and ``final[q]`` flags the accepting states.  Every state is
+    reachable from ``start`` (state 0) and, unless the language is empty,
+    can reach a final state.
+    """
+
+    start = 0
+
+    def __init__(self, symbols: Sequence, delta: tuple, final: tuple):
+        self.symbols = tuple(symbols)
+        self.index = {sym: a for a, sym in enumerate(self.symbols)}
+        self.delta = delta
+        self.final = final
+
+    @classmethod
+    def compile(cls, dfa: Dfa, symbols: Sequence) -> "TableDfa":
+        """Tabulate the states of `dfa` reachable over `symbols` breadth
+        first and merge equivalent ones by Moore refinement.  The dead state
+        takes part as state 0 (block 0), so the states that cannot reach a
+        final state merge into it; block b > 0 becomes state b - 1."""
+        symbols = tuple(symbols)
+        ids = {dfa.start: 1}
+        order = [dfa.start]
+        arcs = [[]]  # per state: (symbol index, successor) of its live moves
+        for q in order:  # grows while it is walked: breadth-first
+            row = []
+            for a, sym in enumerate(symbols):
+                q2 = dfa.step(q, sym)
+                if q2 is not None:
+                    if q2 not in ids:
+                        ids[q2] = len(order) + 1
+                        order.append(q2)
+                    row.append((a, ids[q2]))
+            arcs.append(row)
+        final = [False] + [dfa.is_final(q) for q in order]
+        block = [int(f) for f in final]
+        nblocks = 0
+        while nblocks < len(set(block)):
+            nblocks = len(set(block))
+            sigs: dict = {}
+            block = [sigs.setdefault((block[q], tuple((a, block[q2]) for a, q2 in arcs[q]
+                                                      if block[q2])), len(sigs))
+                     for q in range(len(arcs))]
+        if block[1] == 0:  # empty language
+            return cls(symbols, ((-1,) * len(symbols),), (False,))
+        reps = [block.index(b) for b in range(1, nblocks)]
+        delta = []
+        for q in reps:
+            row = [-1] * len(symbols)
+            for a, q2 in arcs[q]:
+                row[a] = block[q2] - 1
+            delta.append(tuple(row))
+        return cls(symbols, tuple(delta), tuple(final[q] for q in reps))
+
+    def step(self, q, sym):
+        q2 = self.delta[q][self.index[sym]] if sym in self.index else -1
+        return None if q2 < 0 else q2
+
+    def is_final(self, q) -> bool:
+        return self.final[q]
+
+
 def intersect_representations(r1: Dfa, r2: Dfa) -> Dfa:
     """Product construction; with r1, r2 sublanguages of a master recognizer
     the representation h(D ∩ (r1 ∩ r2)) denotes the intersection language."""

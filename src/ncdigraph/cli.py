@@ -46,7 +46,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = fileio.parse_digraph(_read_text(args.file))
+    # the properties are defined on loop-free digraphs
+    g = fileio.parse_digraph(_read_text(args.file), allow_loops=False)
     for p in ALL_PROPERTIES:
         if check_property(g, p):
             print(p.value)

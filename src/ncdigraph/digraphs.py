@@ -347,32 +347,27 @@ def enumerate_noncrossing_digraphs(n: int) -> Iterator[Digraph]:
     pairs = _pair_list(n)
     crossing = [[j for j, q in enumerate(pairs) if j < i and _spans_cross(p, q)]
                 for i, p in enumerate(pairs)]
-    arcs: list = []
-    active: list = []
-
-    def rec(i: int) -> Iterator[Digraph]:
-        if i == len(pairs):
-            yield Digraph(n, frozenset(arcs))
-            return
+    # depth-first walk with an explicit stack, so n is not bounded by the
+    # recursion limit
+    chosen: list = []  # per decided pair: its arcs
+    tried = [0]        # per open depth: pair states tried so far
+    while tried:
+        i = len(tried) - 1
+        if i == len(pairs) or tried[i] == len(_PAIR_STATES):
+            if i == len(pairs):
+                yield Digraph(n, frozenset(itertools.chain.from_iterable(chosen)))
+            tried.pop()
+            if chosen:  # undo the choice for pairs[i - 1]
+                chosen.pop()
+            continue
+        k = tried[i]
+        tried[i] += 1
+        if k and any(chosen[j] for j in crossing[i]):
+            continue
         u, v = pairs[i]
-        for state in _PAIR_STATES:
-            if state != "absent" and any(active[j] for j in crossing[i]):
-                continue
-            if state == "forward":
-                added = [(u, v)]
-            elif state == "backward":
-                added = [(v, u)]
-            elif state == "bidirectional":
-                added = [(u, v), (v, u)]
-            else:
-                added = []
-            arcs.extend(added)
-            active.append(state != "absent")
-            yield from rec(i + 1)
-            active.pop()
-            del arcs[len(arcs) - len(added):]
-
-    yield from rec(0)
+        # in _PAIR_STATES order
+        chosen.append(((), ((u, v),), ((v, u),), ((u, v), (v, u)))[k])
+        tried.append(0)
 
 
 def enumerate_noncrossing_graphs(n: int, with_loops: bool = False) -> Iterator[Graph]:

@@ -75,14 +75,8 @@ def parse_weights(text: str):
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed weight line: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        w = Fraction(parts[2])
-        if i == j:
-            raise FormatError("diagonal weights are not allowed")
-        if w < 0:
-            raise FormatError("weights must be nonnegative")
-        weights[(i, j)] = w
-    return WeightMatrix(n, weights)
+        weights[int(parts[0]), int(parts[1])] = Fraction(parts[2])
+    return WeightMatrix(n, weights)  # checks each weight's position and sign
 
 
 def parse_lexicon(text: str):

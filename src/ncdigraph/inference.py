@@ -3,12 +3,15 @@ families.
 
 The search space is the language D_55 ∩ Reg_lat ∩ G_n ∩ (family
 constraints) ∩ (lexical constraints), represented as a Bar-Hillel product of
-the Dyck grammar with the product recognizer.  Brackets are positioned:
-automaton states carry the separator count, so every bracket pair knows its
-vertex endpoints and contributes its arc weights to the objective.  Items
-are computed strictly by increasing vertex span, so the dynamic program is
-a single bottom-up pass.  It is compiled once per search space into a
-weight-independent op schedule, and that one schedule serves counting (a
+the Dyck grammar with a recognizer.  The recognizer is the minimal integer
+table of Reg_lat ∩ (family constraints), built once per family.  Chart items
+are (vertex, state) nodes: the vertex comes from the chart's position, not
+from the automaton, so every bracket pair knows its vertex endpoints,
+contributes its arc weights to the objective and is checked against the
+lexical flags of both endpoints.  Items are computed strictly by increasing
+vertex span, so the dynamic program is a single bottom-up pass.  It is
+compiled once per search space into a weight-independent op schedule, and
+that one schedule serves counting (a
 replay with integer counts), max-weight parsing (a replay with integer
 max-plus keys) and grammar materialization (its ops read as productions).
 A max key packs the scaled weight, the arc count and an arc bitmask into one
@@ -27,14 +30,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .cfg import Dfa, Grammar, ProductDfa
-from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
-                     COVER_TWO_TURN, FORWARD, first_state, segment_profile,
-                     state_by_name)
+from .cfg import Dfa, Grammar, ProductDfa, TableDfa
+from .chains import BACKWARD, FORWARD
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
-from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, LOOSE, LatentBracket,
-                     OPENER_BASE, constraint_dfa, reg_lat)
+from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, LatentBracket, alphabet,
+                     constraint_dfa, reg_lat)
 
 
 class NoParseError(ValueError):
@@ -69,6 +70,10 @@ class WeightMatrix:
 
 LEX_FLAGS = frozenset({"in-left", "in-right", "out-left", "out-right", "bidir"})
 
+# the flag an edge bracket needs at the vertex it sits on
+_FLAG_OF_BASE = {"/": "out-right", "<": "in-right", ">": "in-left",
+                 "\\": "out-left", "[": "bidir", "]": "bidir"}
+
 
 @dataclass(frozen=True)
 class LexicalConstraint:
@@ -81,18 +86,7 @@ class LexicalConstraint:
         return self.flags.get(vertex, LEX_FLAGS)
 
     def permits(self, b: LatentBracket, vertex: int) -> bool:
-        if b.is_boundary:
-            return True
-        flags = self.allowed(vertex)
-        if b.orientation == BIDIRECTIONAL:
-            return "bidir" in flags
-        if b.base == "/":
-            return "out-right" in flags
-        if b.base == "<":
-            return "in-right" in flags
-        if b.base == ">":
-            return "in-left" in flags
-        return "out-left" in flags  # "\\"
+        return b.is_boundary or _FLAG_OF_BASE[b.base] in self.allowed(vertex)
 
 
 @dataclass(frozen=True)
@@ -121,104 +115,57 @@ def vertex_language(n: int) -> CounterDfa:
     return CounterDfa(n)
 
 
-class LexDfa(Dfa):
-    def __init__(self, lex: LexicalConstraint):
-        self.lex = lex
-        self.start = 0
-
-    def step(self, q, b):
-        if b.base == "{":
-            return q + 1
-        if not b.is_boundary and not self.lex.permits(b, q + 1):
-            return None
-        return q
-
-    def is_final(self, q) -> bool:
-        return True
-
-
-def family_automaton(n: int, req: Iterable = (), lex: Optional[LexicalConstraint] = None) -> ProductDfa:
-    comps = [reg_lat(), CounterDfa(n)]
-    comps += [constraint_dfa(p) for p in sorted(req, key=lambda p: p.value)]
-    if lex is not None:
-        comps.append(LexDfa(lex))
-    return ProductDfa(comps)
-
-
-_COVERS_BY_ORIENT = {
-    FORWARD: (COVER_NONE, COVER_CYCLE, COVER_TWO_TURN),
-    BACKWARD: (COVER_NONE, COVER_CYCLE, COVER_TWO_TURN),
-    BIDIRECTIONAL: (COVER_NONE, COVER_CYCLE),
-}
-
-
 @lru_cache(maxsize=None)
-def _opener_candidates(regstate) -> tuple:
-    """Openers whose forced annotations are consistent with the left
-    context summarized by a Reg_lat state."""
-    kind = regstate[0]
-    if kind == "{":
-        return ()
-    out = []
-    for orient in (FORWARD, BACKWARD, BIDIRECTIONAL):
-        for cov in _COVERS_BY_ORIENT[orient]:
-            profile = segment_profile(orient, cov)
-            if kind in ("start", "opener"):
-                chain, primed = first_state(profile).name, True
-            elif kind == "}":
-                chain, primed = LOOSE, False
-            else:
-                _, mark, _ = regstate
-                if mark == LOOSE:
-                    chain, primed = LOOSE, False
-                else:
-                    chain, primed = state_by_name(mark).step(profile).name, False
-            out.append(LatentBracket(OPENER_BASE[orient], chain, primed, cov))
-    return tuple(out)
+def family_automaton(req: frozenset) -> TableDfa:
+    """Minimal table of Reg_lat ∩ (the constraints in `req`) over the latent
+    alphabet.  It knows no vertex count and no lexicon, so one table serves
+    the family at every n."""
+    comps = [reg_lat()] + [constraint_dfa(p) for p in sorted(req, key=lambda p: p.value)]
+    return TableDfa.compile(ProductDfa(comps), alphabet())
 
 
 class _Intersection:
-    """Reachable fragment of the Bar-Hillel product for one (n, req, lex)."""
+    """The span DP over (vertex, state) nodes for one (n, req, lex): the
+    states come from the family table, the vertices from the chart."""
 
     def __init__(self, n: int, req: Iterable = (), lex: Optional[LexicalConstraint] = None):
         self.n = n
-        self.req = frozenset(req)
-        self.auto = family_automaton(n, self.req, lex)
-        self._step_cache: dict = {}
+        self.lex = lex
+        self.auto = auto = family_automaton(frozenset(req))
+        lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
+        # per state: the state after a boundary pair {} (-1 if dead) and the
+        # live openers as (opener, state after it, column of its closer)
+        self.boundary = [-1 if row[lb] < 0 else auto.delta[row[lb]][rb]
+                         for row in auto.delta]
+        self.openers = [[(b, q2, auto.index[b.partner()])
+                         for b, q2 in zip(auto.symbols, row) if q2 >= 0 and b.is_opener]
+                        for row in auto.delta]
         self._prog = None
-        self._explore()
 
-    def step(self, q, b):
-        key = (q, b)
-        if key not in self._step_cache:
-            self._step_cache[key] = self.auto.step(q, b)
-        return self._step_cache[key]
-
-    def count_of(self, q) -> int:
-        return q[1]
-
-    def _explore(self):
-        seen = {self.auto.start}
-        openers: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for q in list(seen):
-                cands = list(_opener_candidates(q[0]))
-                cands += [BOUNDARY_OPEN, BOUNDARY_CLOSE]
-                cands += [o.partner() for o in openers]
-                for b in cands:
-                    q2 = self.step(q, b)
-                    if q2 is None:
-                        continue
-                    if b.is_opener and b not in openers:
-                        openers.add(b)
-                        changed = True
-                    if q2 not in seen:
-                        seen.add(q2)
-                        changed = True
-        self.states = seen
-        self.openers = openers
+    def _live(self) -> list:
+        """live[u]: the states the chart may meet at vertex u.  Edge brackets
+        keep the vertex and a boundary pair moves to the next one; a closer
+        counts once its opener was met at an earlier vertex, and matching
+        the brackets is left to the chart."""
+        live = [set() for _ in range(self.n + 1)]
+        frontier = {self.auto.start}
+        closable: set = set()  # closer columns of openers met so far
+        for u in range(1, self.n + 1):
+            seen = live[u] = set(frontier)
+            todo = list(frontier)
+            met = set()
+            while todo:
+                q = todo.pop()
+                nxt = {self.auto.delta[q][c] for c in closable}
+                for (_o, q1, c) in self.openers[q]:
+                    nxt.add(q1)
+                    met.add(c)
+                for q2 in nxt - seen - {-1}:
+                    seen.add(q2)
+                    todo.append(q2)
+            closable |= met
+            frontier = {self.boundary[q] for q in seen} - {-1}
+        return live
 
     def _compile(self):
         """Weight-independent op schedule of the span DP, by increasing
@@ -232,41 +179,42 @@ class _Intersection:
           cell).  A content cell of span s holds the insides of the edge
           pairs of span s, built from shorter pairs.  finals lists
           (final state, cell).
-        - cell_keys[c] = (kind, span, qa, qb) and pair_index[s] lists
-          (qa, qb, pid, opener or None, content cell) for span s: the
-          product states at the ends of cells and pairs.  Only grammar
-          materialization reads them, so _program does not keep them.
-
-        A state's counter component is its vertex count, so a fragment's
-        span is the count difference of its ends.
+        - cell_keys[c] = (kind, a, b) and pair_index[s] lists
+          (a, b, pid, opener or None, content cell) for span s, where a and
+          b are the (vertex, state) nodes at the ends of cells and pairs.
+          Only grammar materialization reads them, so _program does not
+          keep them.
         """
-        n = self.n
+        n, lex, delta, symbols = self.n, self.lex, self.auto.delta, self.auto.symbols
+        live = self._live()
         cell_ids: dict = {}
 
-        def cell(kind, s, qa, qb):
-            return cell_ids.setdefault((kind, s, qa, qb), len(cell_ids))
+        def cell(kind, a, b):
+            return cell_ids.setdefault((kind, a, b), len(cell_ids))
 
         def join(kind, s, spans, rows):
             ops = []
             for p in spans:
-                for (qa, qb, pid, _o, _c) in pair_index[p]:
-                    rest = seq_rows[s - p].get(qb)
+                for (a, b, pid, _o, _c) in pair_index[p]:
+                    rest = seq_rows[s - p].get(b)
                     if not rest:
                         continue
-                    row = rows.setdefault(qa, {})
-                    for qc, src in rest.items():
-                        dst = row.get(qc)
+                    row = rows.setdefault(a, {})
+                    for c, src in rest.items():
+                        dst = row.get(c)
                         if dst is None:
-                            dst = row[qc] = cell(kind, s, qa, qc)
+                            dst = row[c] = cell(kind, a, c)
                         ops.append((dst, pid, src))
             return ops
 
         empty_cells = []
-        seq_rows = [dict() for _ in range(n)]  # span -> qa -> {qb: cell}
-        for q in self.states:
-            c = cell("seq", 0, q, q)
-            seq_rows[0][q] = {q: c}
-            empty_cells.append(c)
+        seq_rows = [dict() for _ in range(n)]  # span -> a -> {b: cell}
+        for u in range(1, n + 1):
+            for q in live[u]:
+                a = (u, q)
+                c = cell("seq", a, a)
+                seq_rows[0][a] = {a: c}
+                empty_cells.append(c)
         pair_index = [[] for _ in range(n)]
         npairs = 0
         span_ops = []
@@ -277,37 +225,36 @@ class _Intersection:
             if s == 1:
                 # boundary pairs; each is also the whole inside of a span-1
                 # edge pair
-                for q in self.states:
-                    q1 = self.step(q, BOUNDARY_OPEN)
-                    q2 = None if q1 is None else self.step(q1, BOUNDARY_CLOSE)
-                    if q2 is not None:
-                        entries.append((q, q2, npairs, None, None))
+                for u in range(1, n):
+                    for q in live[u]:
+                        if self.boundary[q] < 0:
+                            continue
+                        a, b = (u, q), (u + 1, self.boundary[q])
+                        entries.append((a, b, npairs, None, None))
                         pairs.append(None)
                         npairs += 1
-                        c = cell("content", 1, q, q2)
-                        content_rows[q] = {q2: c}
+                        c = cell("content", a, b)
+                        content_rows[a] = {b: c}
                         empty_cells.append(c)
-            for qa in self.states:
-                u = self.count_of(qa) + 1
+            for u in range(1, n - s + 1):
                 v = u + s
-                if v > n:
-                    continue
-                for o in _opener_candidates(qa[0]):
-                    q1 = self.step(qa, o)
-                    if q1 is None:
-                        continue
-                    closer = o.partner()
-                    for q2, ccell in content_rows.get(q1, {}).items():
-                        qb = self.step(q2, closer)
-                        if qb is None:
+                for qa in live[u]:
+                    for (o, q1, close) in self.openers[qa]:
+                        inside = content_rows.get((u, q1))
+                        if not inside or lex is not None and not (
+                                lex.permits(o, u) and lex.permits(symbols[close], v)):
                             continue
-                        entries.append((qa, qb, npairs, o, ccell))
-                        pairs.append((o.orientation, u, v, ccell))
-                        npairs += 1
+                        for (_v, q2), ccell in inside.items():
+                            qb = delta[q2][close]
+                            if qb < 0:
+                                continue
+                            entries.append(((u, qa), (v, qb), npairs, o, ccell))
+                            pairs.append((o.orientation, u, v, ccell))
+                            npairs += 1
             seq_ops = join("seq", s, range(1, s + 1), seq_rows[s])
             span_ops.append((content_ops, pairs, seq_ops))
-        finals = [(qf, c) for qf, c in seq_rows[n - 1].get(self.auto.start, {}).items()
-                  if self.auto.is_final(qf)]
+        whole = seq_rows[n - 1].get((1, self.auto.start), {})
+        finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
         program = (len(cell_ids), empty_cells, span_ops, finals)
         return program, list(cell_ids), pair_index
 
@@ -439,8 +386,8 @@ def build_intersection_grammar(n: int, req: Iterable = (),
                                lex: Optional[LexicalConstraint] = None) -> Grammar:
     """Materialized Bar-Hillel product grammar for the family language.
 
-    Nonterminals are ("S"|"P", state, state) pairs over the product
-    recognizer Reg_lat ∩ G_n ∩ constraints; terminals are latent brackets.
+    Nonterminals are ("S"|"P", (u, q), (v, q')): a vertex span u..v and
+    the family table's states at its ends; terminals are latent brackets.
     The productions are read off the compiled op schedule: a sequence op
     gives S → P S, a pair gives P → { } or P → opener S closer, a span-0
     cell gives S → ε and a final gives S0 → S.
@@ -449,18 +396,18 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     (_ncells, _empty, span_ops, finals), cell_keys, pair_index = inter._compile()
 
     def seq_nt(c):
-        return ("S",) + cell_keys[c][2:]
+        return ("S",) + cell_keys[c][1:]
 
-    productions = {(("S", qa, qb), ()) for (_k, s, qa, qb) in cell_keys if s == 0}
+    productions = {(("S", a, b), ()) for (_k, a, b) in cell_keys if a == b}
     for (_content_ops, _pairs, seq_ops) in span_ops:
         productions.update(
-            (seq_nt(dst), (("P", cell_keys[dst][2], cell_keys[src][2]), seq_nt(src)))
+            (seq_nt(dst), (("P", cell_keys[dst][1], cell_keys[src][1]), seq_nt(src)))
             for (dst, _pid, src) in seq_ops)
     for entries in pair_index:
-        for (qa, qb, _pid, opener, ccell) in entries:
+        for (a, b, _pid, opener, ccell) in entries:
             rhs = ((BOUNDARY_OPEN, BOUNDARY_CLOSE) if opener is None
                    else (opener, seq_nt(ccell), opener.partner()))
-            productions.add((("P", qa, qb), rhs))
+            productions.add((("P", a, b), rhs))
     start = ("S0",)
     productions.update((start, (seq_nt(c),)) for (_qf, c) in finals)
     if not finals:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import chains
@@ -540,27 +541,25 @@ def reg_lat() -> RegLat:
     return RegLat()
 
 
+@lru_cache(maxsize=None)
+def _alphabet_by_base() -> dict:
+    """alphabet() grouped by base bracket."""
+    out: dict = {}
+    for b in alphabet():
+        out.setdefault(b.base, []).append(b)
+    return out
+
+
 def preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
     """|h_lat^-1(base) ∩ D_55 ∩ Reg_lat ∩ extra| counted up to limit.
 
-    Openers branch only over cover claims; everything else is forced by the
-    left context, and closers are pinned by the Dyck stack.
+    Openers branch over the alphabet's brackets of their base, of which
+    Reg_lat keeps those consistent with the left context; closers are
+    pinned by the Dyck stack.
     """
     regs = [reg_lat(), *extra]
     found = 0
-
-    def opener_candidates(c: str) -> list:
-        orient = ORIENT_OF_BASE[c]
-        covers = (COVER_NONE, COVER_CYCLE)
-        if orient != BIDIRECTIONAL:
-            covers = (COVER_NONE, COVER_CYCLE, COVER_TWO_TURN)
-        out = []
-        for cov in covers:
-            out.append(LatentBracket(c, LOOSE, False, cov))
-            for st in chains.STATES:
-                out.append(LatentBracket(c, st.name, False, cov))
-                out.append(LatentBracket(c, st.name, True, cov))
-        return out
+    by_base = _alphabet_by_base()
 
     def rec(i, states, stack):
         nonlocal found
@@ -573,10 +572,8 @@ def preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
         c = base[i]
         if c in "]>\\}":
             cands = [] if not stack else [stack[-1].partner()]
-        elif c == "{":
-            cands = [BOUNDARY_OPEN]
         else:
-            cands = opener_candidates(c)
+            cands = by_base.get(c, ())
         for b in cands:
             if b.base != c:
                 continue

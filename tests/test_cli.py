@@ -50,6 +50,16 @@ def test_classify(tmp_path, capsys):
     assert "OUT" in lines and "ACYC_D" in lines
 
 
+def test_classify_rejects_self_loop(tmp_path, capsys):
+    # the properties are defined on loop-free digraphs
+    f = tmp_path / "loop.dg"
+    f.write_text("n 3\n1 2\n2 2\n")
+    status, out, err = invoke(capsys, "classify", str(f))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: self-loop")
+
+
 def test_count_n5(capsys):
     status, out, _ = invoke(capsys, "count", "-n", "5")
     assert status == 0
@@ -111,6 +121,17 @@ def test_parse_weights_without_vertices_exit_1(tmp_path, capsys):
         assert status == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_weights_bad_entry_exit_1(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    for line, why in (("2 2 1", "diagonal"), ("1 2 -1", "nonnegative"),
+                      ("1 4 1", "out of range")):
+        f.write_text("n 3\n" + line + "\n")
+        status, out, err = invoke(capsys, "parse", "--weights", str(f))
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and why in err
 
 
 def test_parse_lexicon_vertex_out_of_range_exit_1(tmp_path, capsys):

@@ -117,6 +117,14 @@ def test_enumeration_is_deterministic_lexicographic():
         [[], [(1, 2)], [(2, 1)], [(1, 2), (2, 1)]]
 
 
+def test_enumeration_reaches_n50_without_recursion():
+    # 1225 vertex pairs: the walk keeps its own stack
+    first = list(itertools.islice(enumerate_noncrossing_digraphs(50), 5))
+    assert [sorted(g.arcs) for g in first] == \
+        [[], [(49, 50)], [(50, 49)], [(49, 50), (50, 49)], [(48, 50)]]
+    assert all(g.n == 50 for g in first)
+
+
 def test_enumeration_yields_unique_noncrossing(digraphs_by_n):
     seen = set(g.arcs for g in digraphs_by_n[4])
     assert len(seen) == 1792

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ def test_vertex_language_composition_acyclic_n5():
     # Id(Reg_lat ∩ A_D ∩ G_5) decodes to exactly the 5-vertex dags
     want = count_family(5, frozenset({PropertyId.ACYC_D}))
     assert count_family_strings(5, {PropertyId.ACYC_D}) == want
-    auto = family_automaton(5, {PropertyId.ACYC_D})
+    auto = cfg.ProductDfa([family_automaton(frozenset({PropertyId.ACYC_D})),
+                           vertex_language(5)])
     for g in enumerate_noncrossing_digraphs(5):
         s = latent_encode(g)
         assert auto.accepts(s) == check_property(g, PropertyId.ACYC_D)
@@ -46,6 +48,60 @@ def test_intersection_grammar_language_sizes():
     assert count_family_strings(5) == 62464
     for n in (1, 2, 3, 4):
         assert count_family_strings(n) == count_family(n, frozenset())
+
+
+def _nc_tree_count(n):
+    # noncrossing spanning trees on n points (OEIS A001764)
+    return math.comb(3 * n - 3, n - 1) // (2 * n - 1)
+
+
+def test_tree_family_counts_match_closed_forms():
+    for n in (6, 7, 8, 9):
+        t = _nc_tree_count(n)
+        assert count_family_strings(n, parse_property_set("polytree")) == 2 ** (n - 1) * t
+        assert count_family_strings(n, parse_property_set("mixed-tree")) == 3 ** (n - 1) * t
+        assert count_family_strings(n, parse_property_set("out-tree")) == n * t
+
+
+def _weighted_nc_graph_counts(max_n):
+    """Σ over noncrossing graphs on 1..n of 3^edges, by an interval
+    recurrence on m = j - i + 1 points: vertex i is isolated, or its
+    farthest neighbour k splits i..j into the inside of the edge (i, k) and
+    the interval k..j.  The outer edge (i, k) crosses nothing on i..k, so
+    the graphs on i..k without it are a quarter of all graphs on i..k:
+    f(m) = f(m-1) + Σ_{2≤l≤m} 3 (f(l)/4) f(m-l+1), which solved for f(m)
+    gives f(m) = 4 f(m-1) + 3 Σ_{2≤l<m} f(l) f(m-l+1)."""
+    f = [0, 1]
+    for m in range(2, max_n + 1):
+        f.append(4 * f[m - 1] + 3 * sum(f[l] * f[m - l + 1] for l in range(2, m)))
+    return f
+
+
+def test_unrestricted_count_matches_interval_recurrence():
+    f = _weighted_nc_graph_counts(10)
+    assert f[1:6] == [1, 4, 64, 1792, 62464]
+    for n in range(1, 11):
+        assert count_family_strings(n) == f[n]
+
+
+def test_family_automaton_minimal_state_counts():
+    want = {"": 32, "ACYC_D": 31, "ACYC_U": 18, "UNAMB_S": 23, "PROJ_W": 48,
+            "OUT": 59, "polytree": 18, "out-tree": 32, "multitree": 21}
+    got = {name: len(family_automaton(parse_property_set(name)).delta)
+           for name in want}
+    assert got == want
+
+
+def test_family_automaton_is_built_once_per_family():
+    # the table knows no n and no lexicon: one build serves them all
+    fams = (frozenset(), parse_property_set("out-tree"))
+    lex = LexicalConstraint({1: frozenset({"out-right", "in-right"})})
+    family_automaton.cache_clear()
+    for fam in fams:
+        for n in range(1, 9):
+            for lx in (None, lex):
+                count_family_strings(n, fam, lx)
+    assert family_automaton.cache_info().misses == len(fams)
 
 
 def test_intersection_grammar_object():
