@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -367,52 +367,50 @@ def tokenize_primed(text: str) -> tuple:
     return tuple(out)
 
 
-def graph_preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
-    """|h^-1(base) ∩ D_3 ∩ Reg ∩ extra| counted up to `limit`."""
-    d3, reg, _ = cs_components_graph()
-    regs = [reg, *extra]
-    found = 0
+def dyck_preimage_count(base: Sequence, pairs: dict, image: dict,
+                        regs: Sequence[Dfa], limit: int) -> int:
+    """|h^-1(base) ∩ D ∩ regs| counted up to `limit`.
 
-    def rec(i, states, stack) -> Optional[int]:
-        nonlocal found
-        if found >= limit:
-            return None
+    pairs[c] lists the (opener, closer) pairs of D whose opener h maps to c,
+    and image[closer] = h(closer).  An opener in base branches over pairs[c];
+    the Dyck stack, a linked list of closers, fixes each closer.  The search
+    is depth first with an explicit stack, so base may be of any length.
+    """
+    found = 0
+    todo = [(0, tuple(r.start for r in regs), None)]
+    while todo and found < limit:
+        i, states, stack = todo.pop()
         if i == len(base):
-            if not stack and all(r.is_final(q) for r, q in zip(regs, states)):
+            if stack is None and all(r.is_final(q) for r, q in zip(regs, states)):
                 found += 1
-            return None
-        c = base[i]
-        if c == "[":
-            cands = ["[", "['"]
-        elif c == "]":
-            cands = [] if not stack else [stack[-1]]
+            continue
+        if base[i] in pairs:
+            moves = [(o, (c, stack)) for o, c in pairs[base[i]]]
+        elif stack is not None and image[stack[0]] == base[i]:
+            moves = [(stack[0], stack[1])]
         else:
-            cands = [c]
-        for tok in cands:
+            continue
+        for tok, rest in moves:
             nxt = []
-            ok = True
             for r, q in zip(regs, states):
                 q2 = r.step(q, tok)
                 if q2 is None:
-                    ok = False
                     break
                 nxt.append(q2)
-            if not ok:
-                continue
-            if tok in ("[", "['"):
-                stack.append("]" if tok == "[" else "]'")
-                rec(i + 1, nxt, stack)
-                stack.pop()
-            elif tok in ("]", "]'"):
-                top = stack.pop()
-                rec(i + 1, nxt, stack)
-                stack.append(top)
             else:
-                rec(i + 1, nxt, stack)
-        return None
-
-    rec(0, [r.start for r in regs], [])
+                todo.append((i + 1, tuple(nxt), rest))
     return found
+
+
+# h^-1 of the graph brackets under the D_3 of cs_components_graph
+_GRAPH_PAIRS = {"[": (("[", "]"), ("['", "]'")), "{": (("{", "}"),)}
+_GRAPH_IMAGE = {"]": "]", "]'": "]", "}": "}"}
+
+
+def graph_preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
+    """|h^-1(base) ∩ D_3 ∩ Reg ∩ extra| counted up to `limit`."""
+    return dyck_preimage_count(base, _GRAPH_PAIRS, _GRAPH_IMAGE,
+                               [GraphReg(), *extra], limit)
 
 
 def reg_strings(reg: Dfa, d: DyckSpec, max_len: int) -> Iterable[tuple]:

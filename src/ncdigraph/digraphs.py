@@ -337,25 +337,23 @@ def _pair_list(n: int) -> list:
     return [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
 
 
-# Pair states in enumeration order: absent < forward < backward < bidirectional.
-_PAIR_STATES = ("absent", "forward", "backward", "bidirectional")
-
-
-def enumerate_noncrossing_digraphs(n: int) -> Iterator[Digraph]:
-    """All loop-free noncrossing digraphs on n vertices, lexicographic in the
-    pair-state vector over pairs (1,2),(1,3),...,(n-1,n)."""
+def _noncrossing_arc_sets(n: int, options) -> Iterator[frozenset]:
+    """The arc sets of all noncrossing choices of one option per vertex pair,
+    lexicographic in the option vector over pairs (1,2),(1,3),...,(n-1,n).
+    options(u, v) lists a pair's arc tuples, the empty one first."""
     pairs = _pair_list(n)
     crossing = [[j for j, q in enumerate(pairs) if j < i and _spans_cross(p, q)]
                 for i, p in enumerate(pairs)]
+    opts = [options(u, v) for (u, v) in pairs]
     # depth-first walk with an explicit stack, so n is not bounded by the
     # recursion limit
     chosen: list = []  # per decided pair: its arcs
-    tried = [0]        # per open depth: pair states tried so far
+    tried = [0]        # per open depth: options tried so far
     while tried:
         i = len(tried) - 1
-        if i == len(pairs) or tried[i] == len(_PAIR_STATES):
+        if i == len(pairs) or tried[i] == len(opts[i]):
             if i == len(pairs):
-                yield Digraph(n, frozenset(itertools.chain.from_iterable(chosen)))
+                yield frozenset(itertools.chain.from_iterable(chosen))
             tried.pop()
             if chosen:  # undo the choice for pairs[i - 1]
                 chosen.pop()
@@ -364,37 +362,27 @@ def enumerate_noncrossing_digraphs(n: int) -> Iterator[Digraph]:
         tried[i] += 1
         if k and any(chosen[j] for j in crossing[i]):
             continue
-        u, v = pairs[i]
-        # in _PAIR_STATES order
-        chosen.append(((), ((u, v),), ((v, u),), ((u, v), (v, u)))[k])
+        chosen.append(opts[i][k])
         tried.append(0)
+
+
+def enumerate_noncrossing_digraphs(n: int) -> Iterator[Digraph]:
+    """All loop-free noncrossing digraphs on n vertices, lexicographic in the
+    pair-state vector over pairs (1,2),(1,3),...,(n-1,n) with the states
+    absent < forward < backward < bidirectional."""
+    for arcs in _noncrossing_arc_sets(
+            n, lambda u, v: ((), ((u, v),), ((v, u),), ((u, v), (v, u)))):
+        yield Digraph(n, arcs)
 
 
 def enumerate_noncrossing_graphs(n: int, with_loops: bool = False) -> Iterator[Graph]:
     """All noncrossing graphs on n vertices by edge subsets (loops optional)."""
-    pairs = _pair_list(n)
-    crossing = [[j for j, q in enumerate(pairs) if j < i and _spans_cross(p, q)]
-                for i, p in enumerate(pairs)]
-
-    def rec(i: int, chosen: list) -> Iterator[tuple]:
-        if i == len(pairs):
-            yield tuple(chosen)
-            return
-        yield from rec(i + 1, chosen)
-        if not any(pairs[j] in chosen for j in crossing[i]):
-            chosen.append(pairs[i])
-            yield from rec(i + 1, chosen)
-            chosen.pop()
-
     loop_sets = ([()] if not with_loops else
                  [ls for k in range(0, n + 1)
                   for ls in itertools.combinations(range(1, n + 1), k)])
-    for edges in rec(0, []):
-        if with_loops:
-            for loops in loop_sets:
-                yield Graph(n, frozenset(edges) | {(v, v) for v in loops})
-        else:
-            yield Graph(n, frozenset(edges))
+    for edges in _noncrossing_arc_sets(n, lambda u, v: ((), ((u, v),))):
+        for loops in loop_sets:
+            yield Graph(n, edges | {(v, v) for v in loops})
 
 
 def count_noncrossing_digraphs_bruteforce(n: int) -> int:

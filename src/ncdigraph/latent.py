@@ -22,7 +22,7 @@ from . import chains
 from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
                      COVER_TWO_TURN, FORWARD, ChainState, cover_class,
                      first_state, segment_profile, state_by_name)
-from .cfg import Dfa, DyckSpec
+from .cfg import Dfa, DyckSpec, dyck_preimage_count
 from .codec import encode_digraph
 from .digraphs import Digraph, PropertyId, is_noncrossing
 
@@ -542,12 +542,13 @@ def reg_lat() -> RegLat:
 
 
 @lru_cache(maxsize=None)
-def _alphabet_by_base() -> dict:
-    """alphabet() grouped by base bracket."""
-    out: dict = {}
-    for b in alphabet():
-        out.setdefault(b.base, []).append(b)
-    return out
+def _dyck_pairs() -> tuple:
+    """The (opener, closer) pairs of D_55 by opener base, and each closer's
+    base."""
+    pairs: dict = {}
+    for o, c in d55().pairs:
+        pairs.setdefault(o.base, []).append((o, c))
+    return pairs, {c: c.base for group in pairs.values() for _o, c in group}
 
 
 def preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
@@ -557,44 +558,5 @@ def preimage_count(base: str, extra: Sequence[Dfa] = (), limit: int = 2) -> int:
     Reg_lat keeps those consistent with the left context; closers are
     pinned by the Dyck stack.
     """
-    regs = [reg_lat(), *extra]
-    found = 0
-    by_base = _alphabet_by_base()
-
-    def rec(i, states, stack):
-        nonlocal found
-        if found >= limit:
-            return
-        if i == len(base):
-            if not stack and all(r.is_final(q) for r, q in zip(regs, states)):
-                found += 1
-            return
-        c = base[i]
-        if c in "]>\\}":
-            cands = [] if not stack else [stack[-1].partner()]
-        else:
-            cands = by_base.get(c, ())
-        for b in cands:
-            if b.base != c:
-                continue
-            nxt = []
-            dead = False
-            for r, qq in zip(regs, states):
-                q2 = r.step(qq, b)
-                if q2 is None:
-                    dead = True
-                    break
-                nxt.append(q2)
-            if dead:
-                continue
-            if b.base in "[/<{":
-                stack.append(b)
-                rec(i + 1, nxt, stack)
-                stack.pop()
-            else:
-                top = stack.pop()
-                rec(i + 1, nxt, stack)
-                stack.append(top)
-
-    rec(0, [r.start for r in regs], [])
-    return found
+    pairs, image = _dyck_pairs()
+    return dyck_preimage_count(base, pairs, image, [reg_lat(), *extra], limit)

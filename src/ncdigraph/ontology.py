@@ -1,5 +1,10 @@
 """Classification of noncrossing digraphs into property-conjunction families,
-lattice construction and family counting."""
+lattice construction and family counting.
+
+A family count is the size of the family's language on the inference chart,
+so counting enumerates nothing.  The lattice lists every digraph's exact
+signature and is built by enumeration.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ from typing import Optional
 
 from .digraphs import (ALL_PROPERTIES, Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
+from .inference import count_family_strings
 
 # The six properties of the ontology figure, in signature-letter order.
 SIX_PROPERTIES = (PropertyId.CONN_W, PropertyId.UNAMB_S, PropertyId.ORIENTED,
@@ -73,19 +79,17 @@ def classify(g: Digraph) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _six_signature_counts(n: int) -> tuple:
+def build_lattice(n: int) -> Lattice:
+    """The exact-signature classes of the n-vertex digraphs over the six
+    properties, by enumeration, ordered by signature size and letters, with
+    the Hasse edges of strict signature inclusion."""
     counts: dict = {}
     for g in enumerate_noncrossing_digraphs(n):
         sig = frozenset(p for p in SIX_PROPERTIES if check_property(g, p))
         counts[sig] = counts.get(sig, 0) + 1
-    return tuple(sorted(counts.items(),
-                        key=lambda kv: (len(kv[0]), signature_string(kv[0]))))
-
-
-def build_lattice(n: int) -> Lattice:
-    cells = _six_signature_counts(n)
     classes = tuple(FamilyClass(sig, count, FAMILY_NAMES.get(sig))
-                    for sig, count in cells)
+                    for sig, count in sorted(counts.items(), key=lambda kv: (
+                        len(kv[0]), signature_string(kv[0]))))
     # Hasse reduction of strict signature inclusion
     edges = []
     for i, a in enumerate(classes):
@@ -99,14 +103,8 @@ def build_lattice(n: int) -> Lattice:
 
 def count_family(n: int, req: frozenset) -> int:
     """Noncrossing loop-free digraphs on n vertices satisfying every
-    property in req (upward-closed family count)."""
-    req = frozenset(req)
-    six_req = req & set(SIX_PROPERTIES)
-    if six_req == req:
-        return sum(count for sig, count in _six_signature_counts(n)
-                   if six_req <= sig)
-    return sum(1 for g in enumerate_noncrossing_digraphs(n)
-               if all(check_property(g, p) for p in req))
+    property in req (upward-closed family count), counted on the chart."""
+    return count_family_strings(n, req)
 
 
 def sequence(req: frozenset, n_max: int) -> list:

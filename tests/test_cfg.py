@@ -7,7 +7,7 @@ from ncdigraph.cfg import (DyckSpec, GraphReg, cs_components_graph,
                            intersect_representations, membership, reg_strings,
                            string_counts_by_length, tokenize_primed)
 from ncdigraph.codec import encode_graph
-from ncdigraph.digraphs import enumerate_noncrossing_graphs
+from ncdigraph.digraphs import enumerate_noncrossing_graphs, make_graph
 
 
 def loopfree_images_by_length(max_len):
@@ -113,6 +113,12 @@ def test_preimage_uniqueness_graphs():
     for n in range(1, 6):
         for g in enumerate_noncrossing_graphs(n):
             assert graph_preimage_count(encode_graph(g), limit=3) == 1
+
+
+def test_preimage_count_long_path():
+    # about 1200 brackets: the search keeps its own stack
+    path = make_graph(300, [(i, i + 1) for i in range(1, 300)])
+    assert graph_preimage_count(encode_graph(path), limit=3) == 1
 
 
 def test_intersection_with_universal_is_identity():

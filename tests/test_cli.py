@@ -1,3 +1,4 @@
+import math
 import random
 
 from conftest import random_noncrossing_digraph
@@ -64,6 +65,18 @@ def test_count_n5(capsys):
     status, out, _ = invoke(capsys, "count", "-n", "5")
     assert status == 0
     assert out.strip() == "62464"
+
+
+def test_count_tree_family_past_enumeration(capsys):
+    # out-trees on 8 vertices: 8 roots times T(8) = C(21, 7)/15 noncrossing
+    # spanning trees
+    status, out, _ = invoke(capsys, "count", "-n", "8", "--family", "out-tree")
+    assert status == 0
+    assert int(out) == 8 * (math.comb(21, 7) // 15)
+    status, out, err = invoke(capsys, "count", "-n", "0")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_count_equals_enumerate_length(capsys):

@@ -123,6 +123,9 @@ def test_enumeration_reaches_n50_without_recursion():
     assert [sorted(g.arcs) for g in first] == \
         [[], [(49, 50)], [(50, 49)], [(49, 50), (50, 49)], [(48, 50)]]
     assert all(g.n == 50 for g in first)
+    first = list(itertools.islice(enumerate_noncrossing_graphs(50), 3))
+    assert [sorted(g.edges) for g in first] == [[], [(49, 50)], [(48, 50)]]
+    assert all(g.n == 50 for g in first)
 
 
 def test_enumeration_yields_unique_noncrossing(digraphs_by_n):

@@ -128,6 +128,12 @@ def test_preimage_uniqueness_small():
             assert preimage_count(encode_digraph(g), limit=3) == 1
 
 
+def test_preimage_count_long_path():
+    # about 1200 brackets: the search keeps its own stack
+    path = make_digraph(300, [(i, i + 1) for i in range(1, 300)])
+    assert preimage_count(encode_digraph(path), limit=3) == 1
+
+
 def test_preimage_uniqueness_sampled_n5_n6():
     import random
 

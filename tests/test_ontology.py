@@ -66,6 +66,15 @@ def test_count_family_consistency():
                              if req <= c.signature)
 
 
+def test_count_family_matches_lattice_n5():
+    # each named family's chart count is the sum of the enumerated exact-
+    # signature cells above it
+    cells = build_lattice(5).classes
+    for sig in FAMILY_NAMES:
+        assert count_family(5, sig) == sum(c.count for c in cells
+                                           if sig <= c.signature), sig
+
+
 def test_inv_oriented_single():
     for n in range(1, 6):
         assert count_family(
