@@ -303,9 +303,6 @@ def _seq_count(rhs, length, table, counts) -> int:
 # L = h(D_3 ∩ Reg).  The primed pair marks non-loose chain starts (a pair
 # whose opener sits at string start or right after another opener).
 
-GRAPH_TOKENS = ("[", "['", "]", "]'", "{", "}")
-
-
 class GraphReg(Dfa):
     """Local discipline for primed graph bracketings.
 

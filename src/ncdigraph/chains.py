@@ -130,8 +130,6 @@ _PROJ_NAME = {
     (False, False, False, False): "Z",
 }
 
-PROJECTIONS = tuple(_PROJ_NAME.values())
-
 _PROJ_BITS = {name: key for key, name in _PROJ_NAME.items()}
 
 

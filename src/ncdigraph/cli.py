@@ -56,20 +56,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.count_only:  # the same number `count` takes from the chart
+        return cmd_count(args)
     from .digraphs import enumerate_noncrossing_digraphs
     req = _family(args)
-    count = 0
     for g in enumerate_noncrossing_digraphs(args.n):
         if req and not all(check_property(g, p) for p in req):
             continue
-        count += 1
-        if not args.count_only:
-            if args.latent:
-                print(latent.latent_to_str(latent.latent_encode(g)))
-            else:
-                print(codec.encode_digraph(g))
-    if args.count_only:
-        print(count)
+        if args.latent:
+            print(latent.latent_to_str(latent.latent_encode(g)))
+        else:
+            print(codec.encode_digraph(g))
     return 0
 
 

@@ -19,7 +19,6 @@ from .digraphs import Digraph, Graph, is_noncrossing
 
 OPENERS = "[/<"
 CLOSERS = "]>\\"
-MATCH = {"[": "]", "/": ">", "<": "\\"}
 KIND = {"]": "[", ">": "/", "\\": "<"}
 
 

@@ -31,13 +31,6 @@ class PropertyId(Enum):
 
 ALL_PROPERTIES = tuple(PropertyId)
 
-# PropertySet values are plain frozensets of PropertyId.
-PropertySet = frozenset
-
-
-def property_set(*props: PropertyId) -> frozenset:
-    return frozenset(props)
-
 
 def parse_property_set(text: str) -> frozenset:
     """Parse comma-separated property names, with composite family aliases."""

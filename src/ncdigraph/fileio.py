@@ -5,7 +5,8 @@ line is ``<u> <v>`` for the arc u->v.  Undirected edges are serialized as
 two arcs.  Weight file: line 1 ``n <count>``, then ``<i> <j> <weight>`` with
 decimal weights (missing pairs default to 0).  Lexicon file: ``<vertex>
 <flags>`` with flags among in-left, in-right, out-left, out-right, bidir;
-omitted vertices are unrestricted.
+omitted vertices are unrestricted.  A pair or vertex given twice is an
+error.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ def parse_weights(text: str):
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed weight line: {line!r}")
-        weights[int(parts[0]), int(parts[1])] = Fraction(parts[2])
+        arc = int(parts[0]), int(parts[1])
+        if arc in weights:
+            raise FormatError(f"repeated weight line: {line!r}")
+        weights[arc] = Fraction(parts[2])
     return WeightMatrix(n, weights)  # checks each weight's position and sign
 
 
@@ -88,5 +92,7 @@ def parse_lexicon(text: str):
         chosen = frozenset(parts[1:])
         if not chosen <= LEX_FLAGS:
             raise FormatError(f"unknown lexicon flags in {line!r}")
+        if v in flags:
+            raise FormatError(f"repeated lexicon line: {line!r}")
         flags[v] = chosen
     return LexicalConstraint(flags)

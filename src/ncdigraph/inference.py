@@ -5,15 +5,15 @@ The search space is the language D_55 ∩ Reg_lat ∩ G_n ∩ (family
 constraints) ∩ (lexical constraints), represented as a Bar-Hillel product of
 the Dyck grammar with a recognizer.  The recognizer is the minimal integer
 table of Reg_lat ∩ (family constraints), built once per family.  Chart items
-are (vertex, state) nodes: the vertex comes from the chart's position, not
-from the automaton, so every bracket pair knows its vertex endpoints,
-contributes its arc weights to the objective and is checked against the
-lexical flags of both endpoints.  Items are computed strictly by increasing
-vertex span, so the dynamic program is a single bottom-up pass.  It is
-compiled once per search space into a weight-independent op schedule, and
-that one schedule serves counting (a
-replay with integer counts), max-weight parsing (a replay with integer
-max-plus keys) and grammar materialization (its ops read as productions).
+are (vertex, state) nodes: the vertex comes from the chart's position, so
+every bracket pair knows its vertex endpoints and its arc weights.  Items
+are computed by increasing vertex span in one bottom-up pass, compiled once
+per (n, family) into a weight-independent op schedule.  That one schedule
+serves counting (a replay with integer counts), max-weight parsing (a
+replay with integer max-plus keys) and grammar materialization (its ops
+read as productions).  The lexicon is not compiled in: whether a pair is
+allowed depends only on its orientation and its two vertices, so the
+algebras apply it to each pair at replay.
 A max key packs the scaled weight, the arc count and an arc bitmask into one
 Python integer, so the integer maximum is the documented tie-break (maximum
 weight, then fewest arcs, then lexicographically smallest sorted arc list)
@@ -31,11 +31,11 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .cfg import Dfa, Grammar, ProductDfa, TableDfa
-from .chains import BACKWARD, FORWARD
+from .chains import BACKWARD, BIDIRECTIONAL, FORWARD
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
-from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, LatentBracket, alphabet,
-                     constraint_dfa, reg_lat)
+from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, CLOSER_BASE, OPENER_BASE,
+                     LatentBracket, alphabet, constraint_dfa, reg_lat)
 
 
 class NoParseError(ValueError):
@@ -88,6 +88,11 @@ class LexicalConstraint:
     def permits(self, b: LatentBracket, vertex: int) -> bool:
         return b.is_boundary or _FLAG_OF_BASE[b.base] in self.allowed(vertex)
 
+    def allows(self, orientation: str, u: int, v: int) -> bool:
+        """Whether u allows the opener and v > u the closer of this pair."""
+        return (_FLAG_OF_BASE[OPENER_BASE[orientation]] in self.allowed(u)
+                and _FLAG_OF_BASE[CLOSER_BASE[orientation]] in self.allowed(v))
+
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -125,12 +130,11 @@ def family_automaton(req: frozenset) -> TableDfa:
 
 
 class _Intersection:
-    """The span DP over (vertex, state) nodes for one (n, req, lex): the
-    states come from the family table, the vertices from the chart."""
+    """The span DP over (vertex, state) nodes for one (n, req): the states
+    come from the family table, the vertices from the chart."""
 
-    def __init__(self, n: int, req: Iterable = (), lex: Optional[LexicalConstraint] = None):
+    def __init__(self, n: int, req: Iterable = ()):
         self.n = n
-        self.lex = lex
         self.auto = auto = family_automaton(frozenset(req))
         lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
         # per state: the state after a boundary pair {} (-1 if dead) and the
@@ -182,10 +186,10 @@ class _Intersection:
         - cell_keys[c] = (kind, a, b) and pair_index[s] lists
           (a, b, pid, opener or None, content cell) for span s, where a and
           b are the (vertex, state) nodes at the ends of cells and pairs.
-          Only grammar materialization reads them, so _program does not
-          keep them.
+          Only grammar materialization reads them, so the program is
+          cached without them.
         """
-        n, lex, delta, symbols = self.n, self.lex, self.auto.delta, self.auto.symbols
+        n, delta = self.n, self.auto.delta
         live = self._live()
         cell_ids: dict = {}
 
@@ -240,11 +244,7 @@ class _Intersection:
                 v = u + s
                 for qa in live[u]:
                     for (o, q1, close) in self.openers[qa]:
-                        inside = content_rows.get((u, q1))
-                        if not inside or lex is not None and not (
-                                lex.permits(o, u) and lex.permits(symbols[close], v)):
-                            continue
-                        for (_v, q2), ccell in inside.items():
+                        for (_v, q2), ccell in content_rows.get((u, q1), {}).items():
                             qb = delta[q2][close]
                             if qb < 0:
                                 continue
@@ -255,20 +255,20 @@ class _Intersection:
             span_ops.append((content_ops, pairs, seq_ops))
         whole = seq_rows[n - 1].get((1, self.auto.start), {})
         finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
-        program = (len(cell_ids), empty_cells, span_ops, finals)
-        return program, list(cell_ids), pair_index
+        self._prog = (len(cell_ids), empty_cells, span_ops, finals)
+        return self._prog, list(cell_ids), pair_index
 
     def _program(self):
         """The cached op schedule; the state endpoints are not kept."""
         if self._prog is None:
-            self._prog = self._compile()[0]
+            self._compile()
         return self._prog
 
     def replay(self, algebra) -> tuple:
         """Values of every cell and pair under `algebra`, by replaying the
         op schedule without touching the automaton again."""
         ncells, empty_cells, span_ops, _finals = self._program()
-        cells = [None] * ncells
+        cells = [algebra.zero] * ncells
         empty = algebra.empty()
         for c in empty_cells:
             cells[c] = empty
@@ -276,21 +276,17 @@ class _Intersection:
         pair_alg = algebra.pair
         concat = algebra.concat
         joinval = algebra.joinval
-        # Every cell and pair the compiler creates gets a value: each op reads
+        # Cells start at the algebra's zero, the identity of joinval.  Every
+        # cell and pair the compiler creates gets a value: each op reads
         # pairs and cells of earlier spans or of this span's earlier phase,
-        # and each of those was written.  So only a cell's first write needs
-        # a test.
+        # and each of those was written.
         for (content_ops, pairs, seq_ops) in span_ops:
             for (dst, pid, src) in content_ops:
-                val = concat(pairvals[pid], cells[src])
-                cur = cells[dst]
-                cells[dst] = val if cur is None else joinval(cur, val)
+                cells[dst] = joinval(cells[dst], concat(pairvals[pid], cells[src]))
             pairvals += [empty if d is None else pair_alg(d[0], d[1], d[2], cells[d[3]])
                          for d in pairs]
             for (dst, pid, src) in seq_ops:
-                val = concat(pairvals[pid], cells[src])
-                cur = cells[dst]
-                cells[dst] = val if cur is None else joinval(cur, val)
+                cells[dst] = joinval(cells[dst], concat(pairvals[pid], cells[src]))
         return cells, pairvals
 
     def totals(self, algebra) -> dict:
@@ -300,14 +296,20 @@ class _Intersection:
 
 
 class _CountAlgebra:
+    """Derivation counts; a pair the lexicon forbids counts 0."""
+
     concat = operator.mul
     joinval = operator.add
+    zero = 0
+
+    def __init__(self, lex: Optional[LexicalConstraint] = None):
+        self.lex = lex
 
     def empty(self):
         return 1
 
     def pair(self, orientation, u, v, content):
-        return content
+        return content if self.lex is None or self.lex.allows(orientation, u, v) else 0
 
 
 class _MaxAlgebra:
@@ -324,33 +326,42 @@ class _MaxAlgebra:
     sorted list is the one holding the smallest arc of their symmetric
     difference, which is the one with the larger mask.  The two parts of a
     concat have disjoint arcs, so adding their keys unions their masks.
+
+    A pair the lexicon forbids gets the key −(W_total+2)·M1, where W_total
+    is the sum of all scaled weights.  Every legal key is above −M1, since
+    W(A) ≥ 0 and |A| ≤ n² − n.  A set with a forbidden pair sums less than
+    (W_total+1)·M1 over its legal arcs plus at least one forbidden key, so
+    it lies below −M1: then the lexicon leaves no member of the family.
     """
 
     concat = operator.add
     joinval = max
+    zero = -math.inf
 
-    def __init__(self, w: WeightMatrix):
+    def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):
         n = self.n = w.n
         m2 = self.m2 = 1 << (n * n)
-        m1 = (n * n + 2) * m2
+        m1 = self.m1 = (n * n + 2) * m2
         scale = math.lcm(*(Fraction(v).denominator for v in w.w.values()))
-        self._arc = {}  # (i, j) -> key of the one-arc set {(i, j)}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    r = (i - 1) * n + (j - 1)
-                    weight = int(Fraction(w.get(i, j)) * scale)
-                    self._arc[i, j] = weight * m1 - m2 + (1 << (n * n - 1 - r))
+
+        def arc(i, j):  # key of the one-arc set {(i, j)}, of rank r
+            r = (i - 1) * n + (j - 1)
+            return int(Fraction(w.get(i, j)) * scale) * m1 - m2 + (1 << (n * n - 1 - r))
+
+        forbidden = -(sum(int(Fraction(v) * scale) for v in w.w.values()) + 2) * m1
+        self._pair = {}  # (orientation, u, v) -> key added by that pair
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                for o, key in ((FORWARD, arc(u, v)), (BACKWARD, arc(v, u)),
+                               (BIDIRECTIONAL, arc(u, v) + arc(v, u))):
+                    legal = lex is None or lex.allows(o, u, v)
+                    self._pair[o, u, v] = key if legal else forbidden
 
     def empty(self):
         return 0
 
     def pair(self, orientation, u, v, content):
-        if orientation == FORWARD:
-            return content + self._arc[u, v]
-        if orientation == BACKWARD:
-            return content + self._arc[v, u]
-        return content + self._arc[u, v] + self._arc[v, u]
+        return content + self._pair[orientation, u, v]
 
     def arcs(self, key: int) -> frozenset:
         """The arc set whose mask is the low field of `key`."""
@@ -370,16 +381,16 @@ def _intersection(n: int, req: Iterable = (),
         for v in sorted(lex.flags):
             if not 1 <= v <= n:
                 raise ValueError(f"lexicon vertex {v} out of range 1..{n}")
-    key = (n, frozenset(req), lex.key() if lex is not None else None)
+    key = (n, frozenset(req))
     if key not in _INTERSECTION_CACHE:
-        _INTERSECTION_CACHE[key] = _Intersection(n, req, lex)
+        _INTERSECTION_CACHE[key] = _Intersection(*key)
     return _INTERSECTION_CACHE[key]
 
 
 def count_family_strings(n: int, req: Iterable = (), lex: Optional[LexicalConstraint] = None) -> int:
     """Size of the intersection language (= number of family members)."""
     inter = _intersection(n, req, lex)
-    return sum(inter.totals(_CountAlgebra()).values())
+    return sum(inter.totals(_CountAlgebra(lex)).values())
 
 
 def build_intersection_grammar(n: int, req: Iterable = (),
@@ -390,10 +401,12 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     the family table's states at its ends; terminals are latent brackets.
     The productions are read off the compiled op schedule: a sequence op
     gives S → P S, a pair gives P → { } or P → opener S closer, a span-0
-    cell gives S → ε and a final gives S0 → S.
+    cell gives S → ε and a final gives S0 → S.  The ops, pairs and finals
+    that count 0 under the lexicon are left out.
     """
     inter = _intersection(n, req, lex)
     (_ncells, _empty, span_ops, finals), cell_keys, pair_index = inter._compile()
+    cells, pairvals = inter.replay(_CountAlgebra(lex))
 
     def seq_nt(c):
         return ("S",) + cell_keys[c][1:]
@@ -402,14 +415,16 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     for (_content_ops, _pairs, seq_ops) in span_ops:
         productions.update(
             (seq_nt(dst), (("P", cell_keys[dst][1], cell_keys[src][1]), seq_nt(src)))
-            for (dst, _pid, src) in seq_ops)
+            for (dst, pid, src) in seq_ops if pairvals[pid] and cells[src])
     for entries in pair_index:
-        for (a, b, _pid, opener, ccell) in entries:
-            rhs = ((BOUNDARY_OPEN, BOUNDARY_CLOSE) if opener is None
-                   else (opener, seq_nt(ccell), opener.partner()))
-            productions.add((("P", a, b), rhs))
+        for (a, b, pid, opener, ccell) in entries:
+            if pairvals[pid]:
+                rhs = ((BOUNDARY_OPEN, BOUNDARY_CLOSE) if opener is None
+                       else (opener, seq_nt(ccell), opener.partner()))
+                productions.add((("P", a, b), rhs))
     start = ("S0",)
-    productions.update((start, (seq_nt(c),)) for (_qf, c) in finals)
+    finals = [c for (_qf, c) in finals if cells[c]]
+    productions.update((start, (seq_nt(c),)) for c in finals)
     if not finals:
         # empty language: the start expands only to an unproductive marker
         productions.add((start, (("DEAD",),)))
@@ -421,11 +436,11 @@ def parse_max(w: WeightMatrix, req: Iterable = (),
               lex: Optional[LexicalConstraint] = None) -> ParseResult:
     """Exact argmax of the arc-weight sum over the requested family."""
     inter = _intersection(w.n, req, lex)
-    alg = _MaxAlgebra(w)
-    totals = inter.totals(alg)
-    if not totals:
+    alg = _MaxAlgebra(w, lex)
+    best = max(inter.totals(alg).values(), default=None)
+    if best is None or best < -alg.m1:
         raise NoParseError("the requested family is empty for this input")
-    arcs = alg.arcs(max(totals.values()))
+    arcs = alg.arcs(best)
     return ParseResult(Digraph(w.n, arcs), sum(w.get(i, j) for (i, j) in sorted(arcs)))
 
 

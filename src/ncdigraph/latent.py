@@ -71,13 +71,6 @@ class LatentBracket:
         return state_by_name(self.chain)
 
     @property
-    def subtype(self) -> str:
-        """plain / cycle-forming / covers-2-turn, per the carried cover class."""
-        if self.cover is COVER_NONE:
-            return "plain"
-        return "covers-2-turn" if self.cover == COVER_TWO_TURN else "cycle-forming"
-
-    @property
     def token(self) -> str:
         if self.is_boundary:
             return self.base

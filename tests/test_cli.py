@@ -94,6 +94,18 @@ def test_enumerate_count_only(capsys):
     assert out.strip() == "1792"
 
 
+def test_enumerate_count_only_counts_on_the_chart(capsys):
+    # out-trees on 7 vertices: 7 roots times T(7) = C(18, 6)/13; the
+    # enumeration would walk about 10^8 digraphs
+    status, out, _ = invoke(capsys, "enumerate", "-n", "7", "--family",
+                            "out-tree", "--count-only")
+    assert status == 0
+    assert int(out) == 7 * (math.comb(18, 6) // 13) == 9996
+    status, out, _ = invoke(capsys, "enumerate", "-n", "3", "--count-only")
+    assert status == 0
+    assert out.strip() == "64"
+
+
 def test_enumerate_latent(capsys):
     status, out, _ = invoke(capsys, "enumerate", "-n", "2", "--latent")
     assert status == 0
@@ -145,6 +157,27 @@ def test_parse_weights_bad_entry_exit_1(tmp_path, capsys):
         assert status == 1
         assert out == ""
         assert err.startswith("error:") and why in err
+
+
+def test_parse_weights_repeated_line_exit_1(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    f.write_text("n 3\n1 2 3\n2 3 1\n1 2 5\n")
+    status, out, err = invoke(capsys, "parse", "--weights", str(f))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: repeated") and "1 2 5" in err
+
+
+def test_parse_lexicon_repeated_vertex_exit_1(tmp_path, capsys):
+    w = tmp_path / "w.txt"
+    w.write_text("n 3\n1 2 5\n")
+    lex = tmp_path / "lex.txt"
+    lex.write_text("1 out-right\n2 bidir\n1 in-left,bidir\n")
+    status, out, err = invoke(capsys, "parse", "--weights", str(w),
+                              "--lexicon", str(lex))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: repeated") and "1 in-left,bidir" in err
 
 
 def test_parse_lexicon_vertex_out_of_range_exit_1(tmp_path, capsys):

@@ -11,8 +11,9 @@ from ncdigraph.digraphs import (PropertyId, check_property,
                                 enumerate_noncrossing_digraphs, is_noncrossing,
                                 parse_property_set)
 from ncdigraph.fileio import parse_lexicon, parse_weights
-from ncdigraph.inference import (LexicalConstraint, NoParseError, WeightMatrix,
-                                 brute_force_max, build_intersection_grammar,
+from ncdigraph.inference import (LEX_FLAGS, LexicalConstraint, NoParseError,
+                                 WeightMatrix, brute_force_max,
+                                 build_intersection_grammar,
                                  count_family_strings, family_automaton,
                                  parse_max, vertex_language)
 from ncdigraph.latent import latent_encode
@@ -95,8 +96,11 @@ def test_family_automaton_minimal_state_counts():
 
 def test_family_automaton_is_built_once_per_family():
     # the table knows no n and no lexicon: one build serves them all
+    from ncdigraph.inference import _INTERSECTION_CACHE
+
     fams = (frozenset(), parse_property_set("out-tree"))
     lex = LexicalConstraint({1: frozenset({"out-right", "in-right"})})
+    _INTERSECTION_CACHE.clear()
     family_automaton.cache_clear()
     for fam in fams:
         for n in range(1, 9):
@@ -360,6 +364,70 @@ def test_lexicon_parsing():
     assert lex.allowed(1) == frozenset({"out-left", "out-right"})
     assert lex.allowed(2) == frozenset({"in-left", "in-right", "out-left",
                                         "out-right", "bidir"})
+
+
+def _random_lexicon(rng, n):
+    flags = sorted(LEX_FLAGS)
+    return LexicalConstraint({v: frozenset(rng.sample(flags, rng.randrange(5)))
+                              for v in range(1, n + 1) if rng.random() < 0.5})
+
+
+def test_lexicons_share_one_program_per_family():
+    # the lexicon is applied at replay, so it never keys the cache
+    from ncdigraph.inference import _INTERSECTION_CACHE
+
+    rng = random.Random(41)
+    fams = (frozenset(), parse_property_set("out-tree"))
+    _INTERSECTION_CACHE.clear()
+    for fam in fams:
+        for n in (3, 5, 7):
+            for _ in range(6):
+                lex = _random_lexicon(rng, n)
+                count_family_strings(n, fam, lex)
+                try:
+                    parse_max(random_weights(rng, n), fam, lex)
+                except NoParseError:
+                    pass
+    assert sorted(_INTERSECTION_CACHE, key=repr) == sorted(
+        ((n, fam) for fam in fams for n in (3, 5, 7)), key=repr)
+
+
+def _interval_max(w, lex):
+    """Best weight of a noncrossing digraph whose arcs the lexicon allows,
+    by an O(n^3) interval DP independent of the chart.  g[i][k] is the best
+    gain of the vertex pair i < k on its own; f[i][j] is the best weight
+    within vertices i..j, which may use the pair (i, j) since gains are
+    nonnegative and the outer pair crosses nothing inside.  Without (i, j),
+    either i has no partner or its farthest partner k < j splits i..j into
+    i..k and k..j."""
+    n = w.n
+    need = {"f": ("out-right", "in-left"), "b": ("in-right", "out-left"),
+            "i": ("bidir", "bidir")}
+    g = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            gains = {"f": w.get(i, k), "b": w.get(k, i),
+                     "i": w.get(i, k) + w.get(k, i)}
+            g[i][k] = max([0] + [gain for o, gain in gains.items()
+                                 if need[o][0] in lex.allowed(i)
+                                 and need[o][1] in lex.allowed(k)])
+    f = [[0] * (n + 2) for _ in range(n + 2)]
+    for span in range(1, n):
+        for i in range(1, n - span + 1):
+            j = i + span
+            inner = max([f[i + 1][j]] + [f[i][k] + f[k][j] for k in range(i + 1, j)])
+            f[i][j] = g[i][j] + inner
+    return f[1][n]
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_lexicon_parse_weight_matches_interval_dp(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    w = random_weights(rng, n)
+    lex = _random_lexicon(rng, n)
+    assert parse_max(w, (), lex).weight == _interval_max(w, lex)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
