@@ -8,12 +8,17 @@ table of Reg_lat ∩ (family constraints), built once per family.  Chart items
 are (vertex, state) nodes: the vertex comes from the chart's position, so
 every bracket pair knows its vertex endpoints and its arc weights.  Items
 are computed by increasing vertex span in one bottom-up pass, compiled once
-per (n, family) into a weight-independent op schedule.  That one schedule
-serves counting (a replay with integer counts), max-weight parsing (a
-replay with integer max-plus keys) and grammar materialization (its ops
-read as productions).  The lexicon is not compiled in: whether a pair is
-allowed depends only on its orientation and its two vertices, so the
-algebras apply it to each pair at replay.
+per (n, family) into a weight-independent op schedule.  Each span runs
+content ops (the insides of its edge pairs), then its bracket pairs, then a
+fold that sums the pairs with the same end nodes (a, b) into one P(a, b)
+cell, then sequence ops, which join P(a, b) with the cells continuing from
+b.  The joins thus meet endpoints, not pairs (the arc item split from the
+sequence item, as in Eisner 1996), and the schedule has the shape of the
+grammar it materializes.  That one schedule serves counting (a replay with
+integer counts), max-weight parsing (a replay with integer max-plus keys)
+and grammar materialization (its ops read as productions).  The lexicon is
+not compiled in: whether a pair is allowed depends only on its orientation
+and its two vertices, so the algebras apply it to each pair at replay.
 A max key packs the scaled weight, the arc count and an arc bitmask into one
 Python integer, so the integer maximum is the documented tie-break (maximum
 weight, then fewest arcs, then lexicographically smallest sorted arc list)
@@ -177,12 +182,15 @@ class _Intersection:
 
         - program = (ncells, empty_cells, span_ops, finals).  empty_cells
           start as the empty fragment.  span_ops[s - 1] = (content_ops,
-          pairs, seq_ops): an op (dst, pid, src) joins pair pid followed by
-          cell src into cell dst; pairs defines the span's pairs in pid
+          pairs, fold, seq_ops).  pairs defines the span's pairs in pid
           order, None for a boundary pair, else (orientation, u, v, content
-          cell).  A content cell of span s holds the insides of the edge
-          pairs of span s, built from shorter pairs.  finals lists
-          (final state, cell).
+          cell); fold[i] is the P(a, b) cell that the i-th pair of the span
+          is summed into, where a and b are the pair's end nodes.  An op
+          (dst, p, src) joins P cell p followed by cell src into cell dst,
+          so it is emitted once per (a, b) and not once per pair.  A
+          content cell of span s holds the insides of the edge pairs of
+          span s, built from shorter pairs.  finals lists (final state,
+          cell).
         - cell_keys[c] = (kind, a, b) and pair_index[s] lists
           (a, b, pid, opener or None, content cell) for span s, where a and
           b are the (vertex, state) nodes at the ends of cells and pairs.
@@ -199,7 +207,7 @@ class _Intersection:
         def join(kind, s, spans, rows):
             ops = []
             for p in spans:
-                for (a, b, pid, _o, _c) in pair_index[p]:
+                for (a, b), f in p_cells[p].items():
                     rest = seq_rows[s - p].get(b)
                     if not rest:
                         continue
@@ -208,7 +216,7 @@ class _Intersection:
                         dst = row.get(c)
                         if dst is None:
                             dst = row[c] = cell(kind, a, c)
-                        ops.append((dst, pid, src))
+                        ops.append((dst, f, src))
             return ops
 
         empty_cells = []
@@ -220,6 +228,7 @@ class _Intersection:
                 seq_rows[0][a] = {a: c}
                 empty_cells.append(c)
         pair_index = [[] for _ in range(n)]
+        p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
         npairs = 0
         span_ops = []
         for s in range(1, n):
@@ -251,8 +260,10 @@ class _Intersection:
                             entries.append(((u, qa), (v, qb), npairs, o, ccell))
                             pairs.append((o.orientation, u, v, ccell))
                             npairs += 1
+            fold = [cell("P", a, b) for (a, b, *_rest) in entries]
+            p_cells[s] = {(a, b): f for (a, b, *_rest), f in zip(entries, fold)}
             seq_ops = join("seq", s, range(1, s + 1), seq_rows[s])
-            span_ops.append((content_ops, pairs, seq_ops))
+            span_ops.append((content_ops, pairs, fold, seq_ops))
         whole = seq_rows[n - 1].get((1, self.auto.start), {})
         finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
         self._prog = (len(cell_ids), empty_cells, span_ops, finals)
@@ -278,15 +289,20 @@ class _Intersection:
         joinval = algebra.joinval
         # Cells start at the algebra's zero, the identity of joinval.  Every
         # cell and pair the compiler creates gets a value: each op reads
-        # pairs and cells of earlier spans or of this span's earlier phase,
-        # and each of those was written.
-        for (content_ops, pairs, seq_ops) in span_ops:
-            for (dst, pid, src) in content_ops:
-                cells[dst] = joinval(cells[dst], concat(pairvals[pid], cells[src]))
-            pairvals += [empty if d is None else pair_alg(d[0], d[1], d[2], cells[d[3]])
-                         for d in pairs]
-            for (dst, pid, src) in seq_ops:
-                cells[dst] = joinval(cells[dst], concat(pairvals[pid], cells[src]))
+        # cells of earlier spans or of this span's earlier phase, and each
+        # of those was written.  concat distributes over joinval, so
+        # folding the pairs of one (a, b) before the joins keeps every
+        # value exact.
+        for (content_ops, pairs, fold, seq_ops) in span_ops:
+            for (dst, p, src) in content_ops:
+                cells[dst] = joinval(cells[dst], concat(cells[p], cells[src]))
+            vals = [empty if d is None else pair_alg(d[0], d[1], d[2], cells[d[3]])
+                    for d in pairs]
+            for f, val in zip(fold, vals):
+                cells[f] = joinval(cells[f], val)
+            pairvals += vals
+            for (dst, p, src) in seq_ops:
+                cells[dst] = joinval(cells[dst], concat(cells[p], cells[src]))
         return cells, pairvals
 
     def totals(self, algebra) -> dict:
@@ -412,10 +428,9 @@ def build_intersection_grammar(n: int, req: Iterable = (),
         return ("S",) + cell_keys[c][1:]
 
     productions = {(("S", a, b), ()) for (_k, a, b) in cell_keys if a == b}
-    for (_content_ops, _pairs, seq_ops) in span_ops:
-        productions.update(
-            (seq_nt(dst), (("P", cell_keys[dst][1], cell_keys[src][1]), seq_nt(src)))
-            for (dst, pid, src) in seq_ops if pairvals[pid] and cells[src])
+    for (_content_ops, _pairs, _fold, seq_ops) in span_ops:
+        productions.update((seq_nt(dst), (cell_keys[p], seq_nt(src)))
+                           for (dst, p, src) in seq_ops if cells[p] and cells[src])
     for entries in pair_index:
         for (a, b, pid, opener, ccell) in entries:
             if pairvals[pid]:

@@ -193,19 +193,37 @@ def test_intersection_grammar_language_is_family():
     assert 0 < len(kept) < count_family(3, frozenset())
 
 
+_PROGRAM_FAMS = (frozenset(), frozenset({PropertyId.ACYC_D}),
+                 frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
+
+
 def test_compiled_program_leaves_no_dead_value():
-    # every cell and pair the compiler creates is written by the replay
+    # every cell, pair and P(a, b) cell the compiler creates counts > 0
     from ncdigraph.inference import _CountAlgebra, _intersection
 
-    fams = (frozenset(), frozenset({PropertyId.ACYC_D}),
-            frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
-    for fam in fams:
+    for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4):
-            for lex in (None, _lexicon(n)):
-                cells, pairs = _intersection(n, fam, lex).replay(_CountAlgebra())
-                assert None not in cells
-                assert None not in pairs
-                assert all(v > 0 for v in cells + pairs)
+            inter = _intersection(n, fam)
+            cells, pairs = inter.replay(_CountAlgebra())
+            folds = {f for span in inter._program()[2] for f in span[2]}
+            assert all(v > 0 for v in cells + pairs)
+            assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
+
+
+def test_pair_fold_has_the_grammar_shape():
+    # one fold cell per ("P", a, b) nonterminal of the materialized grammar,
+    # and the joins meet the continuation once per (a, b), not once per pair
+    from ncdigraph.inference import _Intersection
+
+    for fam in _PROGRAM_FAMS:
+        for n in (1, 2, 3, 4, 5):
+            _prog, cell_keys, _pairs = _Intersection(n, fam)._compile()
+            g = build_intersection_grammar(n, fam)
+            p_lhs = {lhs for lhs, _rhs in g.productions if lhs[0] == "P"}
+            assert len(p_lhs) == sum(key[0] == "P" for key in cell_keys)
+    spans = _Intersection(9)._program()[2]
+    joins = sum(len(content) + len(seq) for (content, _p, _f, seq) in spans)
+    assert joins == 25_639  # 169,631 before the fold
 
 
 def test_parse_max_all_ones_n3():
@@ -428,6 +446,16 @@ def test_lexicon_parse_weight_matches_interval_dp(seed):
     w = random_weights(rng, n)
     lex = _random_lexicon(rng, n)
     assert parse_max(w, (), lex).weight == _interval_max(w, lex)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=15, deadline=None)
+def test_parse_weight_matches_interval_dp(seed):
+    # no lexicon, sizes well past the brute-force oracle's n <= 6
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    w = random_weights(rng, n)
+    assert parse_max(w).weight == _interval_max(w, LexicalConstraint({}))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
