@@ -2,20 +2,22 @@
 
 Per vertex i, the encoder emits closers for edges {j,i} with j running from
 i-1 down to 1, then openers for edges {i,j} with j from n down to i+1, then
-``[]`` for a self-loop, then the separator ``{}`` unless i = n.  For
-digraphs the bracket pair carries the arc orientation::
+``[]`` for a self-loop, then the separator ``{}`` unless i = n (``layout``
+holds this order for both encoders and the latent encoding).  For digraphs
+the bracket pair carries the arc orientation::
 
     / >   (i,j) in A, (j,i) not in A
     < \\   (i,j) not in A, (j,i) in A
     [ ]   both
 
 Decoding is a single stack pass; ``{`` advances the vertex counter and ``}``
-is otherwise ignored (but must immediately follow ``{``).
+is otherwise ignored (but must immediately follow ``{``).  A graph string is
+a digraph string over ``[ ] { }`` alone, read through its underlying graph.
 """
 
 from __future__ import annotations
 
-from .digraphs import Digraph, Graph, is_noncrossing
+from .digraphs import Digraph, Graph, is_noncrossing, underlying
 
 OPENERS = "[/<"
 CLOSERS = "]>\\"
@@ -38,70 +40,55 @@ def _orientation_brackets(g: Digraph, u: int, v: int) -> tuple:
     raise AssertionError("no arc between endpoints")
 
 
+def layout(n: int, spans, loops=()) -> list:
+    """The items of the base bracket string in order: ("close", j, i) and
+    ("open", i, j) for spans (i, j) with i < j, ("loop", i) and the
+    separator ("sep",).  This is the one place that knows the order."""
+    closers: list = [[] for _ in range(n + 1)]
+    openers: list = [[] for _ in range(n + 1)]
+    for (i, j) in sorted(spans, reverse=True):
+        closers[j].append(("close", i, j))
+        openers[i].append(("open", i, j))
+    items: list = []
+    for i in range(1, n + 1):
+        items += closers[i]
+        items += openers[i]
+        if i in loops:
+            items.append(("loop", i))
+        if i < n:
+            items.append(("sep",))
+    return items
+
+
 def encode_graph(g: Graph) -> str:
     if not is_noncrossing(g):
         raise CodecError("graph has crossing edges")
-    out = []
-    for i in range(1, g.n + 1):
-        for j in range(i - 1, 0, -1):
-            if (j, i) in g.edges:
-                out.append("]")
-        for j in range(g.n, i, -1):
-            if (i, j) in g.edges:
-                out.append("[")
-        if (i, i) in g.edges:
-            out.append("[]")
-        if i < g.n:
-            out.append("{}")
-    return "".join(out)
+    tokens = {"close": "]", "open": "[", "loop": "[]", "sep": "{}"}
+    return "".join(tokens[it[0]] for it in layout(
+        g.n, [(u, v) for (u, v) in g.edges if u < v],
+        {u for (u, v) in g.edges if u == v}))
 
 
 def encode_digraph(g: Digraph) -> str:
     if not is_noncrossing(g):
         raise CodecError("digraph has crossing arcs")
+    spans = {(min(u, v), max(u, v)) for (u, v) in g.arcs if u != v}
     out = []
-    for i in range(1, g.n + 1):
-        for j in range(i - 1, 0, -1):
-            if (j, i) in g.arcs or (i, j) in g.arcs:
-                out.append(_orientation_brackets(g, j, i)[1])
-        for j in range(g.n, i, -1):
-            if (i, j) in g.arcs or (j, i) in g.arcs:
-                out.append(_orientation_brackets(g, i, j)[0])
-        if (i, i) in g.arcs:
-            out.append("[]")
-        if i < g.n:
-            out.append("{}")
+    for it in layout(g.n, spans, {u for (u, v) in g.arcs if u == v}):
+        if it[0] == "close":
+            out.append(_orientation_brackets(g, it[1], it[2])[1])
+        elif it[0] == "open":
+            out.append(_orientation_brackets(g, it[1], it[2])[0])
+        else:
+            out.append("[]" if it[0] == "loop" else "{}")
     return "".join(out)
 
 
 def decode_graph(s: str) -> Graph:
-    n = 1
-    edges = set()
-    stack: list = []
-    prev = ""
-    for c in s:
-        if prev == "{" and c != "}":
-            raise CodecError("'{' must be immediately followed by '}'")
-        if c == "[":
-            stack.append(n)
-        elif c == "]":
-            if not stack:
-                raise CodecError("unbalanced ']'")
-            i = stack.pop()
-            edges.add((i, n))
-        elif c == "{":
-            n += 1
-        elif c == "}":
-            if prev != "{":
-                raise CodecError("'}' must immediately follow '{'")
-        else:
-            raise CodecError(f"unexpected character {c!r} in graph string")
-        prev = c
-    if prev == "{":
-        raise CodecError("'{' must be immediately followed by '}'")
-    if stack:
-        raise CodecError("unclosed '['")
-    return Graph(n, frozenset(edges))
+    bad = next((c for c in s if c not in "[]{}"), None)
+    if bad is not None:
+        raise CodecError(f"unexpected character {bad!r} in graph string")
+    return underlying(decode_digraph(s))
 
 
 def decode_digraph(s: str, allow_loops: bool = True) -> Digraph:

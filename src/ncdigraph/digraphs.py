@@ -1,10 +1,12 @@
 """Ordered graphs and digraphs with direct, oracle-grade property checks.
 
 Vertices are 1..n.  Two arcs/edges cross when
-min{i,j} < min{k,l} < max{i,j} < max{k,l}.  The eight family properties are
-decided here by direct algorithms (scans, DFS, union-find, exhaustive
-path counting); the latent module re-derives them from bracket strings and
-is validated against these implementations.
+min{i,j} < min{k,l} < max{i,j} < max{k,l}.  Each of the eight family
+properties is decided here by one search that returns its forbidden
+configuration, the arcs of the digraph that violate it, or None; a digraph
+has the property when the search finds nothing.  The latent module
+re-derives the properties from bracket strings and is validated against
+these searches.
 """
 
 from __future__ import annotations
@@ -131,181 +133,186 @@ def is_noncrossing(g) -> bool:
     return True
 
 
-def _underlying_adj(g: Digraph) -> dict:
-    adj: dict[int, set] = {v: set() for v in range(1, g.n + 1)}
+# ---------------------------------------------------------------------------
+# Properties.  Each property is one search for its forbidden configuration:
+# a sorted list of arcs of g that violates it, or None when there is none.
+
+def _out_adj(g: Digraph) -> list:
+    adj: list = [[] for _ in range(g.n + 1)]
     for (u, v) in g.arcs:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj[u].append(v)
     return adj
 
 
-def _out_adj(g: Digraph) -> dict:
-    adj: dict[int, set] = {v: set() for v in range(1, g.n + 1)}
+def _depth_first(adj: list, root: int, state: list, parent: list) -> Iterator:
+    """Walk from root with an explicit stack.  An arc (x, w) to an unreached
+    vertex w extends the current path (parent[w] = x; state[w] is 1 while w
+    is on the path and 2 once left); every other arc (x, w) is yielded."""
+    state[root] = 1
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, heads = stack[-1]
+        for w in heads:
+            if state[w]:
+                yield x, w
+            else:
+                state[w] = 1
+                parent[w] = x
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            state[x] = 2
+            stack.pop()
+
+
+def _two_arcs_into_one_vertex(g: Digraph) -> Optional[list]:
+    tail: dict = {}
     for (u, v) in g.arcs:
-        adj[u].add(v)
-    return adj
-
-
-def _is_out(g: Digraph) -> bool:
-    indeg = {v: 0 for v in range(1, g.n + 1)}
-    for (u, v) in g.arcs:
-        indeg[v] += 1
-        if indeg[v] > 1:
-            return False
-    return True
-
-
-def _is_inverse(g: Digraph) -> bool:
-    return all((v, u) in g.arcs for (u, v) in g.arcs)
-
-
-def _is_oriented(g: Digraph) -> bool:
-    return all((v, u) not in g.arcs for (u, v) in g.arcs)
-
-
-def _is_weakly_projective(g: Digraph) -> bool:
-    # forbidden: arcs k->j and j->i where span(j,i) properly covers span(k,j)
-    for (k, j) in g.arcs:
-        for (j2, i) in g.arcs:
-            if j2 != j or (k, j) == (j, i):
-                continue
-            lo, hi = min(i, j), max(i, j)
-            if lo <= k <= hi and (min(k, j), max(k, j)) != (lo, hi):
-                return False
-    return True
-
-
-def _is_dag(g: Digraph) -> bool:
-    adj = _out_adj(g)
-    color = {v: 0 for v in adj}  # 0 new, 1 on stack, 2 done
-    for root in adj:
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
-
-
-def _find_directed_cycle(g: Digraph) -> Optional[list]:
-    adj = _out_adj(g)
-    color = {v: 0 for v in adj}
-    parent: dict[int, int] = {}
-    for root in adj:
-        if color[root]:
-            continue
-        stack = [(root, iter(sorted(adj[root])))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 1:
-                    cycle = [(v, w)]
-                    x = v
-                    while x != w:
-                        cycle.append((parent[x], x))
-                        x = parent[x]
-                    cycle.reverse()
-                    return cycle
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
+        if v in tail:
+            return sorted([(tail[v], v), (u, v)])
+        tail[v] = u
     return None
 
 
-def _is_uacyclic(g: Digraph) -> bool:
-    parent = list(range(g.n + 1))
+def _arc_without_reverse(g: Digraph) -> Optional[list]:
+    for (u, v) in g.arcs:
+        if (v, u) not in g.arcs:
+            return [(u, v)]
+    return None
+
+
+def _arc_with_reverse(g: Digraph) -> Optional[list]:
+    for (u, v) in g.arcs:
+        if (v, u) in g.arcs:
+            return sorted({(u, v), (v, u)})
+    return None
+
+
+def _covering_arc_after_covered(g: Digraph) -> Optional[list]:
+    # arcs k->j and j->i where span(j,i) properly covers span(k,j)
+    adj = _out_adj(g)
+    for (k, j) in g.arcs:
+        for i in adj[j]:
+            if k != i and min(i, j) <= k <= max(i, j):
+                return sorted([(k, j), (j, i)])
+    return None
+
+
+def _directed_cycle(g: Digraph) -> Optional[list]:
+    adj = _out_adj(g)
+    state = [0] * (g.n + 1)
+    parent = [0] * (g.n + 1)
+    for root in range(1, g.n + 1):
+        if state[root]:
+            continue
+        for (x, w) in _depth_first(adj, root, state, parent):
+            if state[w] == 1:  # w is on the path to x
+                cycle = [(x, w)]
+                while x != w:
+                    cycle.append((parent[x], x))
+                    x = parent[x]
+                return sorted(cycle)
+    return None
+
+
+def _undirected_cycle(g: Digraph) -> Optional[list]:
+    root = list(range(g.n + 1))
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
         return x
 
-    for (u, v) in {(min(u, v), max(u, v)) for (u, v) in g.arcs if u != v}:
+    joined: list = []  # one arc per span, forming a forest
+    for (u, v) in g.arcs:
+        if u == v or (u > v and (v, u) in g.arcs):
+            continue
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+        if ru != rv:
+            root[ru] = rv
+            joined.append((u, v))
+            continue
+        # (u, v) closes a cycle with the one forest path from u to v
+        adj: dict = {}
+        for arc in joined:
+            adj.setdefault(arc[0], []).append((arc[1], arc))
+            adj.setdefault(arc[1], []).append((arc[0], arc))
+        via = {u: None}
+        stack = [u]
+        while v not in via:
+            x = stack.pop()
+            for (y, arc) in adj[x]:
+                if y not in via:
+                    via[y] = (x, arc)
+                    stack.append(y)
+        cycle = [(u, v)]
+        x = v
+        while x != u:
+            x, arc = via[x]
+            cycle.append(arc)
+        return sorted(cycle)
+    return None
 
 
-def _is_weakly_connected(g: Digraph) -> bool:
-    if g.n == 1:
-        return True
-    adj = _underlying_adj(g)
+def _disconnection(g: Digraph) -> Optional[list]:
+    # the arcs of vertex 1's weak component, when it misses a vertex
+    adj: list = [[] for _ in range(g.n + 1)]
+    for (u, v) in g.arcs:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = {1}
     stack = [1]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == g.n
+    if len(seen) == g.n:
+        return None
+    return sorted((u, v) for (u, v) in g.arcs if u in seen)
 
 
-def _count_simple_paths(adj: dict, u: int, v: int, limit: int = 2) -> int:
-    """Number of repeat-free directed paths u -> v, counting up to limit."""
-    count = 0
-    stack = [(u, frozenset([u]))]
-    while stack:
-        x, used = stack.pop()
-        for y in adj[x]:
-            if y == v:
-                count += 1
-                if count >= limit:
-                    return count
-            elif y not in used:
-                stack.append((y, used | {y}))
-    return count
-
-
-def _is_strongly_unambiguous(g: Digraph) -> bool:
-    # at most one repeat-free directed path for every ordered vertex pair
+def _two_simple_paths(g: Digraph) -> Optional[list]:
+    """Two repeat-free directed paths with the same ends.  Per source u, the
+    depth-first walk keeps one path to each vertex it reaches.  An arc back
+    onto the current path closes a cycle; an arc to a vertex already left is
+    a second simple path to it."""
     adj = _out_adj(g)
+    parent = [0] * (g.n + 1)
     for u in range(1, g.n + 1):
-        for v in range(1, g.n + 1):
-            if u != v and _count_simple_paths(adj, u, v) > 1:
-                return False
-    return True
+        state = [0] * (g.n + 1)
+        for (x, w) in _depth_first(adj, u, state, parent):
+            if state[w] == 2:
+                arcs = {(x, w)}
+                for y in (x, w):
+                    while y != u:
+                        arcs.add((parent[y], y))
+                        y = parent[y]
+                return sorted(arcs)
+    return None
 
 
-_CHECKS = {
-    PropertyId.OUT: _is_out,
-    PropertyId.INV: _is_inverse,
-    PropertyId.ORIENTED: _is_oriented,
-    PropertyId.PROJ_W: _is_weakly_projective,
-    PropertyId.ACYC_D: _is_dag,
-    PropertyId.ACYC_U: _is_uacyclic,
-    PropertyId.CONN_W: _is_weakly_connected,
-    PropertyId.UNAMB_S: _is_strongly_unambiguous,
+_WITNESS = {
+    PropertyId.OUT: _two_arcs_into_one_vertex,
+    PropertyId.INV: _arc_without_reverse,
+    PropertyId.ORIENTED: _arc_with_reverse,
+    PropertyId.PROJ_W: _covering_arc_after_covered,
+    PropertyId.ACYC_D: _directed_cycle,
+    PropertyId.ACYC_U: _undirected_cycle,
+    PropertyId.CONN_W: _disconnection,
+    PropertyId.UNAMB_S: _two_simple_paths,
 }
 
 
 def check_property(g: Digraph, p: PropertyId) -> bool:
-    return _CHECKS[p](g)
+    return _WITNESS[p](g) is None
+
+
+def find_forbidden_configuration(g: Digraph, p: PropertyId) -> Optional[list]:
+    """The sorted arcs of a configuration of g that violates p, or None when
+    g has p."""
+    return _WITNESS[p](g)
 
 
 def uacyclic_chain_scan(g: Graph) -> bool:
@@ -390,107 +397,3 @@ def count_noncrossing_digraphs_bruteforce(n: int) -> int:
             continue
         count += 1
     return count
-
-
-def find_forbidden_configuration(g: Digraph, p: PropertyId) -> Optional[list]:
-    """Concrete witness (a list of arcs) when the nonlocal property fails."""
-    if p == PropertyId.ACYC_D:
-        return _find_directed_cycle(g)
-    if p == PropertyId.ACYC_U:
-        return _find_underlying_cycle(g)
-    if p == PropertyId.CONN_W:
-        return _find_disconnection(g)
-    if p == PropertyId.UNAMB_S:
-        return _find_ambiguity(g)
-    raise ValueError(f"no forbidden-configuration detector for {p}")
-
-
-def _find_underlying_cycle(g: Digraph) -> Optional[list]:
-    rep: dict[tuple, tuple] = {}
-    for (u, v) in g.arcs:
-        if u != v:
-            rep.setdefault((min(u, v), max(u, v)), (u, v))
-    adj: dict[int, list] = {v: [] for v in range(1, g.n + 1)}
-    for (a, b) in rep:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: dict[int, int] = {}
-    for root in range(1, g.n + 1):
-        if root in parent:
-            continue
-        parent[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w == parent[v]:
-                    continue
-                if w in parent:
-                    # path v..root meets path w..root: assemble the cycle
-                    av, aw = [v], [w]
-                    x = v
-                    while parent[x]:
-                        x = parent[x]
-                        av.append(x)
-                    x = w
-                    while parent[x]:
-                        x = parent[x]
-                        aw.append(x)
-                    common = next(x for x in av if x in set(aw))
-                    path_v = av[:av.index(common) + 1]
-                    path_w = aw[:aw.index(common) + 1]
-                    verts = path_v + path_w[::-1][1:]
-                    arcs = []
-                    for a, b in zip(verts, verts[1:] + verts[:1]):
-                        arcs.append(rep[(min(a, b), max(a, b))])
-                    return arcs
-                parent[w] = v
-                stack.append(w)
-    return None
-
-
-def _find_disconnection(g: Digraph) -> Optional[list]:
-    if _is_weakly_connected(g):
-        return None
-    adj = _underlying_adj(g)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    block = seen if len(seen) < g.n else set(range(1, g.n + 1)) - seen
-    return [a for a in g.sorted_arcs() if a[0] in block and a[1] in block]
-
-
-def _find_ambiguity(g: Digraph) -> Optional[list]:
-    adj = _out_adj(g)
-    for u in range(1, g.n + 1):
-        for v in range(1, g.n + 1):
-            if u == v:
-                continue
-            paths = _enumerate_simple_paths(adj, u, v, 2)
-            if len(paths) > 1:
-                arcs = {a for path in paths for a in path}
-                return sorted(arcs)
-    return None
-
-
-def _enumerate_simple_paths(adj: dict, u: int, v: int, limit: int) -> list:
-    found: list = []
-
-    def rec(x, used, path):
-        if len(found) >= limit:
-            return
-        for y in sorted(adj[x]):
-            if y == v:
-                found.append(tuple(path + [(x, y)]))
-                if len(found) >= limit:
-                    return
-            elif y not in used:
-                rec(y, used | {y}, path + [(x, y)])
-
-    rec(u, frozenset([u]), [])
-    return found

@@ -23,7 +23,7 @@ from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
                      COVER_TWO_TURN, FORWARD, ChainState, cover_class,
                      first_state, segment_profile, state_by_name)
 from .cfg import Dfa, DyckSpec, dyck_preimage_count
-from .codec import encode_digraph
+from .codec import encode_digraph, layout
 from .digraphs import Digraph, PropertyId, is_noncrossing
 
 OPENER_BASE = {FORWARD: "/", BACKWARD: "<", BIDIRECTIONAL: "["}
@@ -184,24 +184,6 @@ def _orientation(g: Digraph, u: int, v: int) -> str:
     return FORWARD if fwd else BACKWARD
 
 
-def _layout(g: Digraph) -> list:
-    """Bracket items of the base encoding: ("open",u,v), ("close",u,v),
-    ("b{",) and ("b}",), in string order."""
-    edges = {(min(u, v), max(u, v)) for (u, v) in g.arcs}
-    items: list = []
-    for i in range(1, g.n + 1):
-        for j in range(i - 1, 0, -1):
-            if (j, i) in edges:
-                items.append(("close", j, i))
-        for j in range(g.n, i, -1):
-            if (i, j) in edges:
-                items.append(("open", i, j))
-        if i < g.n:
-            items.append(("b{",))
-            items.append(("b}",))
-    return items
-
-
 @dataclass
 class _EdgeInfo:
     loose: bool
@@ -212,12 +194,13 @@ class _EdgeInfo:
 
 
 def _annotate(g: Digraph) -> tuple:
-    """Returns (layout items, per-edge info keyed by (u,v) span)."""
+    """Returns (codec layout items, per-edge info keyed by (u,v) span); a
+    separator item stands for the boundary pair b{ b}."""
     if any(u == v for (u, v) in g.arcs):
         raise ValueError("latent encoding requires a loop-free digraph")
     if not is_noncrossing(g):
         raise ValueError("latent encoding requires a noncrossing digraph")
-    items = _layout(g)
+    items = layout(g.n, {(min(u, v), max(u, v)) for (u, v) in g.arcs})
     open_pos = {}
     close_pos = {}
     for pos, it in enumerate(items):
@@ -243,7 +226,7 @@ def _annotate(g: Digraph) -> tuple:
         if prev_o is None or prev_o[0] == "open":
             info[e] = _EdgeInfo(False, first_state(profile), True, cov, next_chain)
             next_chain += 1
-        elif prev_o[0] == "b}":
+        elif prev_o[0] == "sep":
             info[e] = _EdgeInfo(True, None, False, cov, next_chain)
             next_chain += 1
         else:  # continuation of the chain ending at the preceding closer
@@ -260,10 +243,8 @@ def latent_encode(g: Digraph) -> LatentString:
     items, info = _annotate(g)
     out = []
     for it in items:
-        if it[0] == "b{":
-            out.append(BOUNDARY_OPEN)
-        elif it[0] == "b}":
-            out.append(BOUNDARY_CLOSE)
+        if it[0] == "sep":
+            out += (BOUNDARY_OPEN, BOUNDARY_CLOSE)
         else:
             e = it[1:]
             rec = info[e]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdigraph.digraphs import (Digraph, PropertyId,
+from ncdigraph.digraphs import (ALL_PROPERTIES, Digraph, PropertyId,
                                 check_property,
                                 count_noncrossing_digraphs_bruteforce,
                                 enumerate_noncrossing_digraphs,
@@ -12,6 +12,7 @@ from ncdigraph.digraphs import (Digraph, PropertyId,
                                 find_forbidden_configuration, is_noncrossing,
                                 make_digraph, make_graph, parse_property_set,
                                 uacyclic_chain_scan, underlying)
+from ncdigraph.latent import constraint_accepts, latent_encode
 
 
 def test_make_digraph_with_self_loop():
@@ -134,27 +135,48 @@ def test_enumeration_yields_unique_noncrossing(digraphs_by_n):
     assert all(is_noncrossing(g) for g in digraphs_by_n[4])
 
 
-WITNESS_PROPS = (PropertyId.UNAMB_S, PropertyId.ACYC_D, PropertyId.ACYC_U,
-                 PropertyId.CONN_W)
-
-
 def test_witness_examples():
     pair = make_digraph(2, [(1, 2), (2, 1)])
-    w = find_forbidden_configuration(pair, PropertyId.ACYC_D)
-    assert sorted(w) == [(1, 2), (2, 1)]
+    assert find_forbidden_configuration(pair, PropertyId.ACYC_D) == \
+        [(1, 2), (2, 1)]
+    assert find_forbidden_configuration(pair, PropertyId.ORIENTED) == \
+        [(1, 2), (2, 1)]
+    assert find_forbidden_configuration(
+        make_digraph(3, [(1, 2), (3, 2)]), PropertyId.OUT) == [(1, 2), (3, 2)]
+    assert find_forbidden_configuration(
+        make_digraph(3, [(1, 2), (2, 1), (2, 3)]), PropertyId.INV) == [(2, 3)]
+    assert find_forbidden_configuration(
+        make_digraph(3, [(2, 1), (1, 3)]), PropertyId.PROJ_W) == \
+        [(1, 3), (2, 1)]
     empty = make_digraph(1, [])
-    for p in (PropertyId.UNAMB_S, PropertyId.ACYC_D, PropertyId.ACYC_U):
+    for p in ALL_PROPERTIES:
         assert find_forbidden_configuration(empty, p) is None
 
 
 def test_witness_equivalence_exhaustive(digraphs_by_n):
+    # the latent scanners are an independent implementation of the eight
+    # properties: a witness exists exactly when the scanner rejects, and the
+    # witness arcs alone are rejected too
     for n in (1, 2, 3, 4):
         for g in digraphs_by_n[n]:
-            for p in WITNESS_PROPS:
+            s = latent_encode(g)
+            for p in ALL_PROPERTIES:
                 witness = find_forbidden_configuration(g, p)
-                assert (witness is None) == check_property(g, p)
+                assert (witness is None) == constraint_accepts(p, s)
                 if witness is not None:
-                    assert set(witness) <= g.arcs or witness == []
+                    assert witness == sorted(set(witness))
+                    assert set(witness) <= g.arcs
+                    assert not constraint_accepts(
+                        p, latent_encode(Digraph(n, frozenset(witness))))
+
+
+def test_searches_on_a_long_path():
+    # 1 -> 2 -> ... -> 1000: deep enough to exhaust a recursive path walk
+    g = make_digraph(1000, [(i, i + 1) for i in range(1, 1000)])
+    for p in (PropertyId.UNAMB_S, PropertyId.ACYC_D, PropertyId.ACYC_U,
+              PropertyId.CONN_W):
+        assert find_forbidden_configuration(g, p) is None
+        assert check_property(g, p)
 
 
 def test_parse_property_set_aliases():
