@@ -4,13 +4,14 @@ homomorphic representation h(D ∩ Reg) of the encoded-graph language.
 Grammars are plain production lists over hashable symbols; a symbol is a
 nonterminal iff it appears on a left-hand side.  Recognizers follow a small
 DFA protocol (``start``, ``step``, ``is_final``) so they can be intersected
-by product construction and multiplied into grammars.
+by product construction and multiplied into grammars.  Derivation counts,
+membership and string counts by length read one chart, filled by a loop from
+the last position to the first, for any grammar with finite counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 
@@ -226,36 +227,52 @@ def grammar_dyck2() -> Grammar:
     ))
 
 
+def _end_counts(g: Grammar, length: int, match) -> dict:
+    """Per nonterminal X, a dict from each end k to the number of derivations
+    of positions 0..k-1 from X, where terminal a may sit at position i iff
+    ``match(i, a)``.  Start positions run from right to left; at each one
+    the nonterminals are recomputed until none changes, so left recursion
+    settles and an unproductive cycle counts 0.  Finite counts settle within
+    one round per (nonterminal, end) pair; change after that raises."""
+    table = g.by_lhs()
+    rows: list = [None] * (length + 1)  # rows[i][X][k]: derivations of i..k-1
+    for i in range(length, -1, -1):
+        row = rows[i] = {x: {} for x in table}
+        for _round in range(len(table) * (length - i + 1) + 1):
+            before = dict(row)
+            for x, rhss in table.items():
+                total: dict = {}
+                for rhs in rhss:
+                    ends = {i: 1}
+                    for sym in rhs:
+                        nxt: dict = {}
+                        for k, c in ends.items():
+                            if sym in table:
+                                for k2, c2 in rows[k][sym].items():
+                                    nxt[k2] = nxt.get(k2, 0) + c * c2
+                            elif k < length and match(k, sym):
+                                nxt[k + 1] = c
+                        ends = nxt
+                        if not ends:
+                            break
+                    for k, c in ends.items():
+                        total[k] = total.get(k, 0) + c
+                row[x] = total
+            if row == before:
+                break
+        else:
+            raise ValueError("the grammar has infinitely many derivations of a span")
+    return rows[0]
+
+
 def derivation_count(g: Grammar, s: Sequence) -> int:
     """Number of distinct derivation trees (= leftmost derivations) of s.
 
-    Exact big-integer arithmetic; the grammars used here are terminal-leading,
-    so the memoized recursion is well-founded.
+    Exact big-integer arithmetic for s of any length; the grammar may be
+    left-recursive, and the count of every span must be finite.
     """
     s = tuple(s)
-    table = g.by_lhs()
-
-    @lru_cache(maxsize=None)
-    def count_nt(x, i, j) -> int:
-        return sum(count_seq(rhs, i, j) for rhs in table[x])
-
-    @lru_cache(maxsize=None)
-    def count_seq(syms, i, j) -> int:
-        if not syms:
-            return 1 if i == j else 0
-        head, rest = syms[0], syms[1:]
-        if head not in table:
-            if i < j and s[i] == head:
-                return count_seq(rest, i + 1, j)
-            return 0
-        total = 0
-        for k in range(i, j + 1):
-            c = count_nt(head, i, k)
-            if c:
-                total += c * count_seq(rest, k, j)
-        return total
-
-    return count_nt(g.start, 0, len(s))
+    return _end_counts(g, len(s), lambda i, a: s[i] == a)[g.start].get(len(s), 0)
 
 
 def membership(g: Grammar, s: Sequence) -> bool:
@@ -265,37 +282,8 @@ def membership(g: Grammar, s: Sequence) -> bool:
 def string_counts_by_length(g: Grammar, max_len: int) -> list:
     """Number of derivations per yield length, 0..max_len (equals the number
     of strings when the grammar is unambiguous)."""
-    table = g.by_lhs()
-    counts = {x: [0] * (max_len + 1) for x in table}
-    changed = True
-    while changed:
-        changed = False
-        for x, rhss in table.items():
-            for length in range(max_len + 1):
-                total = 0
-                for rhs in rhss:
-                    total += _seq_count(rhs, length, table, counts)
-                if total != counts[x][length]:
-                    counts[x][length] = total
-                    changed = True
-    return counts[g.start]
-
-
-def _seq_count(rhs, length, table, counts) -> int:
-    # distribute `length` across the symbols of `rhs`
-    if not rhs:
-        return 1 if length == 0 else 0
-    head, rest = rhs[0], rhs[1:]
-    if head not in table:
-        if length == 0:
-            return 0
-        return _seq_count(rest, length - 1, table, counts)
-    total = 0
-    for l0 in range(length + 1):
-        c = counts[head][l0]
-        if c:
-            total += c * _seq_count(rest, length - l0, table, counts)
-    return total
+    ends = _end_counts(g, max_len, lambda i, a: True)[g.start]
+    return [ends.get(k, 0) for k in range(max_len + 1)]
 
 
 # ---------------------------------------------------------------------------

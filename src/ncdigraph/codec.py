@@ -11,7 +11,10 @@ the bracket pair carries the arc orientation::
     [ ]   both
 
 Decoding is a single stack pass; ``{`` advances the vertex counter and ``}``
-is otherwise ignored (but must immediately follow ``{``).  A graph string is
+is otherwise ignored (but must immediately follow ``{``).  The pass rejects
+every string no digraph encodes to: a second bracket pair over one span, a
+self-loop written other than ``[]``, and anything but ``{`` or the end of
+the string after a self-loop.  A graph string is
 a digraph string over ``[ ] { }`` alone, read through its underlying graph.
 """
 
@@ -95,10 +98,13 @@ def decode_digraph(s: str, allow_loops: bool = True) -> Digraph:
     n = 1
     arcs = set()
     stack: list = []
+    spans = set()
     prev = ""
     for c in s:
         if prev == "{" and c != "}":
             raise CodecError("'{' must be immediately followed by '}'")
+        if (n, n) in spans and prev == "]" and c != "{":
+            raise CodecError(f"{c!r} after the self-loop of vertex {n}")
         if c in OPENERS:
             stack.append((c, n))
         elif c in CLOSERS:
@@ -109,6 +115,11 @@ def decode_digraph(s: str, allow_loops: bool = True) -> Digraph:
                 raise CodecError(f"{c!r} closes {KIND[c]!r}, found {kind!r}")
             if i == n and not allow_loops:
                 raise CodecError("self-loop in loop-free mode")
+            if i == n and (c != "]" or prev != "["):
+                raise CodecError(f"the self-loop of vertex {n} must be written '[]'")
+            if (i, n) in spans:
+                raise CodecError(f"a second bracket pair over vertices {i} and {n}")
+            spans.add((i, n))
             if c == ">":
                 arcs.add((i, n))
             elif c == "\\":

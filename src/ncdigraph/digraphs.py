@@ -124,12 +124,21 @@ def _spans_cross(a, b) -> bool:
 
 
 def is_noncrossing(g) -> bool:
-    """True iff no two arcs/edges interleave.  Accepts Digraph or Graph."""
+    """True iff no two arcs/edges interleave.  Accepts Digraph or Graph.
+
+    One walk over the spans sorted by (left, -right) with a stack of the
+    right ends of the open spans, innermost on top: a span crosses one of
+    them iff it ends past the innermost that is still open at its left end.
+    """
     spans = {(min(u, v), max(u, v)) for (u, v) in
              (g.arcs if isinstance(g, Digraph) else g.edges)}
-    for a, b in itertools.combinations(sorted(spans), 2):
-        if _spans_cross(a, b):
+    open_ends: list = []
+    for left, right in sorted(spans, key=lambda span: (span[0], -span[1])):
+        while open_ends and open_ends[-1] <= left:
+            open_ends.pop()
+        if open_ends and right > open_ends[-1]:
             return False
+        open_ends.append(right)
     return True
 
 

@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
-from ncdigraph.cfg import (DyckSpec, GraphReg, cs_components_graph,
+import pytest
+
+from ncdigraph.cfg import (DyckSpec, Grammar, GraphReg, cs_components_graph,
                            derivation_count, dyck_check, grammar_dyck2,
                            grammar_nc_graph, graph_preimage_count,
                            intersect_representations, membership, reg_strings,
@@ -10,8 +13,11 @@ from ncdigraph.codec import encode_graph
 from ncdigraph.digraphs import enumerate_noncrossing_graphs, make_graph
 
 
+@functools.cache
 def loopfree_images_by_length(max_len):
-    """Encoded loop-free noncrossing graphs with string length <= max_len."""
+    """Encoded loop-free noncrossing graphs with string length <= max_len.
+    Cached: the length-14 set enumerates every noncrossing graph up to
+    n = 8, and two tests read it."""
     images = set()
     n = 1
     while 2 * (n - 1) <= max_len:
@@ -20,7 +26,7 @@ def loopfree_images_by_length(max_len):
             if len(s) <= max_len:
                 images.add(s)
         n += 1
-    return images
+    return frozenset(images)
 
 
 def test_grammar_shape():
@@ -51,6 +57,28 @@ def test_derivation_count_on_images():
     for n in range(1, 5):
         for graph in enumerate_noncrossing_graphs(n):
             assert derivation_count(g, encode_graph(graph)) == 1
+
+
+def test_derivation_count_long_path():
+    # about 1600 brackets: the counter keeps no call stack per position
+    path = make_graph(400, [(i, i + 1) for i in range(1, 400)])
+    assert derivation_count(grammar_nc_graph(), encode_graph(path)) == 1
+
+
+def test_left_recursive_counts_are_catalan():
+    g = Grammar("S", (("S", ("S", "S")), ("S", ("a",))))
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429]
+    assert [derivation_count(g, "a" * k) for k in range(1, 9)] == catalan
+    assert string_counts_by_length(g, 8) == [0] + catalan
+
+
+def test_infinitely_many_derivations_raise():
+    for g in (Grammar("S", (("S", ("S",)), ("S", ("a",)))),
+              Grammar("S", (("S", ("S", "S")), ("S", ())))):
+        with pytest.raises(ValueError):
+            derivation_count(g, "a")
+        with pytest.raises(ValueError):
+            string_counts_by_length(g, 2)
 
 
 def test_image_equivalence_up_to_length_14():

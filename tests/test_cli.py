@@ -41,6 +41,15 @@ def test_decode_round_trip(capsys):
         {(1, 2), (2, 2), (4, 1), (4, 2)})
 
 
+def test_decode_rejects_strings_no_digraph_encodes_to(capsys):
+    for argv in (("--digraph", "//{}>>"), ("--digraph", "/>"),
+                 ("--digraph", "<\\"), ("[[{}]]",)):
+        status, out, err = invoke(capsys, "decode", *argv)
+        assert status == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_classify(tmp_path, capsys):
     f = tmp_path / "g.dg"
     f.write_text("n 3\n1 2\n2 3\n")

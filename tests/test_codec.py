@@ -58,6 +58,40 @@ def test_decoder_errors():
         decode_digraph("[]", allow_loops=False)
 
 
+def test_decoder_rejects_strings_no_digraph_encodes_to():
+    for s in ("//{}>>", "/>", "<\\", "[[]]", "[][", "[{}[]]"):
+        with pytest.raises(CodecError):
+            decode_digraph(s)
+    with pytest.raises(CodecError):
+        decode_graph("[[{}]]")  # the grammar rejects it too
+
+
+def _bracket_string(moves) -> str:
+    """Balanced bracket string from (move, kind) pairs: move 0 opens a pair
+    of the kind, 1 closes the innermost pair, 2 writes a separator."""
+    out, stack = [], []
+    for m, kind in moves:
+        if m == 0:
+            out.append("[/<"[kind])
+            stack.append("]>\\"[kind])
+        elif m == 1 and stack:
+            out.append(stack.pop())
+        elif m == 2:
+            out.append("{}")
+    return "".join(out + stack[::-1])
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_string_re_encodes_to_itself(moves):
+    s = _bracket_string(moves)
+    try:
+        g = decode_digraph(s)
+    except CodecError:
+        return
+    assert encode_digraph(g) == s
+
+
 def test_encoder_rejects_crossing():
     with pytest.raises(CodecError):
         encode_digraph(Digraph(4, frozenset({(1, 3), (2, 4)})))

@@ -39,6 +39,23 @@ def test_is_noncrossing():
     assert is_noncrossing(Digraph(4, frozenset({(1, 4), (2, 3)})))
 
 
+def _noncrossing_pairwise(arcs) -> bool:
+    """The definition: no two spans interleave, tested pair by pair."""
+    spans = sorted({(min(u, v), max(u, v)) for (u, v) in arcs})
+    return not any(a1 < b1 < a2 < b2
+                   for (a1, a2), (b1, b2) in itertools.combinations(spans, 2))
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(st.just(n), st.frozensets(
+        st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))))
+@settings(max_examples=300, deadline=None)
+def test_is_noncrossing_matches_pairwise_definition(case):
+    n, arcs = case  # loops included
+    assert is_noncrossing(Digraph(n, arcs)) == _noncrossing_pairwise(arcs)
+    assert is_noncrossing(underlying(Digraph(n, arcs))) == _noncrossing_pairwise(arcs)
+
+
 def test_noncrossing_count_n4_bruteforce_oracle():
     # all 4^6 orientation assignments of the six vertex pairs, minus crossings
     assert count_noncrossing_digraphs_bruteforce(4) == 1792

@@ -127,6 +127,9 @@ def test_intersection_grammar_empty_family():
     lex = LexicalConstraint({1: frozenset(), 2: frozenset()})
     g = build_intersection_grammar(2, {PropertyId.CONN_W}, lex)
     assert sum(cfg.string_counts_by_length(g, 10)) == 0
+    # S0 -> DEAD, DEAD -> DEAD: an unproductive cycle counts 0
+    assert cfg.derivation_count(g, ()) == 0
+    assert not cfg.membership(g, ())
 
 
 def _grammar_strings(g, max_len=60):
