@@ -227,41 +227,110 @@ def grammar_dyck2() -> Grammar:
     ))
 
 
+def _same_position_components(table: dict) -> list:
+    """Strongly connected components of the reads at one start position,
+    each read before its readers, with whether it is a cycle.  X reads Y
+    there when Y can begin a right-hand side of X after nullable symbols."""
+    nullable: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for x, rhss in table.items():
+            if x not in nullable and any(all(s in nullable for s in rhs) for rhs in rhss):
+                nullable.add(x)
+                grew = True
+    reads: dict = {x: set() for x in table}
+    for x, rhss in table.items():
+        for rhs in rhss:
+            for s in rhs:
+                if s in table:
+                    reads[x].add(s)
+                if s not in nullable:
+                    break
+    # Tarjan's algorithm on an explicit stack: a component is complete,
+    # and emitted, once every component it reads is
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    components = []
+    for root in table:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(reads[root]))]
+        while work:
+            x, todo = work[-1]
+            for y in todo:
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    stack.append(y)
+                    work.append((y, iter(reads[y])))
+                    break
+                if y in low:  # still on the stack
+                    low[x] = min(low[x], index[y])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == index[x]:
+                    members = [stack.pop()]
+                    while members[-1] != x:
+                        members.append(stack.pop())
+                    for y in members:
+                        del low[y]
+                    components.append((members, len(members) > 1 or x in reads[x]))
+    return components
+
+
 def _end_counts(g: Grammar, length: int, match) -> dict:
     """Per nonterminal X, a dict from each end k to the number of derivations
     of positions 0..k-1 from X, where terminal a may sit at position i iff
-    ``match(i, a)``.  Start positions run from right to left; at each one
-    the nonterminals are recomputed until none changes, so left recursion
-    settles and an unproductive cycle counts 0.  Finite counts settle within
-    one round per (nonterminal, end) pair; change after that raises."""
+    ``match(i, a)``.  Start positions run from right to left.  At each one
+    the nonterminals are evaluated once each, every one after those it
+    reads at that position; only the members of a cycle of such reads are
+    recomputed until none changes, so left recursion settles and an
+    unproductive cycle counts 0.  Finite counts settle within one round per
+    (member, end) pair; change after that raises."""
     table = g.by_lhs()
+    components = _same_position_components(table)
     rows: list = [None] * (length + 1)  # rows[i][X][k]: derivations of i..k-1
+
+    def evaluate(i, x):
+        total: dict = {}
+        for rhs in table[x]:
+            ends = {i: 1}
+            for sym in rhs:
+                nxt: dict = {}
+                for k, c in ends.items():
+                    if sym in table:
+                        for k2, c2 in rows[k][sym].items():
+                            nxt[k2] = nxt.get(k2, 0) + c * c2
+                    elif k < length and match(k, sym):
+                        nxt[k + 1] = c
+                ends = nxt
+                if not ends:
+                    break
+            for k, c in ends.items():
+                total[k] = total.get(k, 0) + c
+        return total
+
     for i in range(length, -1, -1):
-        row = rows[i] = {x: {} for x in table}
-        for _round in range(len(table) * (length - i + 1) + 1):
-            before = dict(row)
-            for x, rhss in table.items():
-                total: dict = {}
-                for rhs in rhss:
-                    ends = {i: 1}
-                    for sym in rhs:
-                        nxt: dict = {}
-                        for k, c in ends.items():
-                            if sym in table:
-                                for k2, c2 in rows[k][sym].items():
-                                    nxt[k2] = nxt.get(k2, 0) + c * c2
-                            elif k < length and match(k, sym):
-                                nxt[k + 1] = c
-                        ends = nxt
-                        if not ends:
-                            break
-                    for k, c in ends.items():
-                        total[k] = total.get(k, 0) + c
-                row[x] = total
-            if row == before:
-                break
-        else:
-            raise ValueError("the grammar has infinitely many derivations of a span")
+        row = rows[i] = {}
+        for members, cyclic in components:
+            if not cyclic:
+                row[members[0]] = evaluate(i, members[0])
+                continue
+            row.update(dict.fromkeys(members, {}))
+            for _round in range(len(members) * (length - i + 1) + 1):
+                before = [row[x] for x in members]
+                for x in members:
+                    row[x] = evaluate(i, x)
+                if [row[x] for x in members] == before:
+                    break
+            else:
+                raise ValueError("the grammar has infinitely many derivations of a span")
     return rows[0]
 
 

@@ -8,17 +8,23 @@ table of Reg_lat ∩ (family constraints), built once per family.  Chart items
 are (vertex, state) nodes: the vertex comes from the chart's position, so
 every bracket pair knows its vertex endpoints and its arc weights.  Items
 are computed by increasing vertex span in one bottom-up pass, compiled once
-per (n, family) into a weight-independent op schedule.  Each span runs
-content ops (the insides of its edge pairs), then its bracket pairs, then a
-fold that sums the pairs with the same end nodes (a, b) into one P(a, b)
-cell, then sequence ops, which join P(a, b) with the cells continuing from
-b.  The joins thus meet endpoints, not pairs (the arc item split from the
-sequence item, as in Eisner 1996), and the schedule has the shape of the
-grammar it materializes.  That one schedule serves counting (a replay with
+per (n, family) into a weight-independent program.  Each span has content
+cells (the insides of its edge pairs), P(a, b) cells that join the span's
+bracket pairs with end nodes a and b, and sequence cells, which join P(a, b)
+with the cells continuing from b.  The joins thus meet endpoints, not pairs
+(the arc item split from the sequence item, as in Eisner 1996), and the
+program has the shape of the grammar it materializes.  The compiler keeps
+only the cells that feed a final cell, so the program is the reduced chart,
+and it stores each kept cell as one group: the join of its (left, right)
+operand pairs.  A bracket pair enters as a pair cell per (orientation, u,
+v), which the algebra fills when a replay starts, so pair values, content,
+P(a, b) and sequence cells all have the one group shape and a replay is one
+loop over the groups.  That one program serves counting (a replay with
 integer counts), max-weight parsing (a replay with integer max-plus keys)
-and grammar materialization (its ops read as productions).  The lexicon is
-not compiled in: whether a pair is allowed depends only on its orientation
-and its two vertices, so the algebras apply it to each pair at replay.
+and grammar materialization (its groups read as productions).  The lexicon
+is not compiled in: whether a pair is allowed depends only on its
+orientation and its two vertices, so the algebras apply it to the pair
+cells.
 A max key packs the scaled weight, the arc count and an arc bitmask into one
 Python integer, so the integer maximum is the documented tie-break (maximum
 weight, then fewest arcs, then lexicographically smallest sorted arc list)
@@ -177,35 +183,45 @@ class _Intersection:
         return live
 
     def _compile(self):
-        """Weight-independent op schedule of the span DP, by increasing
-        vertex span.  Returns (program, cell_keys, pair_index):
+        """The reduced span DP as one program of grouped joins, compiled
+        once per (n, family) and independent of weights and lexicon.
+        Returns (program, cell_keys, openers):
 
-        - program = (ncells, empty_cells, span_ops, finals).  empty_cells
-          start as the empty fragment.  span_ops[s - 1] = (content_ops,
-          pairs, fold, seq_ops).  pairs defines the span's pairs in pid
-          order, None for a boundary pair, else (orientation, u, v, content
-          cell); fold[i] is the P(a, b) cell that the i-th pair of the span
-          is summed into, where a and b are the pair's end nodes.  An op
-          (dst, p, src) joins P cell p followed by cell src into cell dst,
-          so it is emitted once per (a, b) and not once per pair.  A
-          content cell of span s holds the insides of the edge pairs of
-          span s, built from shorter pairs.  finals lists (final state,
-          cell).
-        - cell_keys[c] = (kind, a, b) and pair_index[s] lists
-          (a, b, pid, opener or None, content cell) for span s, where a and
-          b are the (vertex, state) nodes at the ends of cells and pairs.
-          Only grammar materialization reads them, so the program is
-          cached without them.
+        - program = (ncells, empty_cells, pair_cells, groups, finals).
+          empty_cells start as the empty fragment; pair_cells lists
+          (cell, orientation, u, v), a cell the algebra fills with the value
+          of a bracket pair of that orientation over vertices u < v.  Every
+          other cell is the destination of one group (dst, lefts, rights):
+          the join over i of cell lefts[i] followed by cell rights[i].  The
+          groups come in span order, so each reads cells already set.
+          finals lists (final state, cell).
+        - cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
+          the ends of the cell (a pair cell has the orientation and (u, v)
+          instead), and openers[c] lists for a P(a, b) cell the opener of
+          each of its pairs, None for a boundary pair.  Only grammar
+          materialization reads them, so the program is cached without
+          them.
+
+        Each span has three phases.  A content cell holds the insides of
+        the span's edge pairs: a P cell of a shorter span followed by a
+        sequence cell.  A P(a, b) cell joins the span's pairs with end
+        nodes a and b: a pair cell followed by the pair's content, or a
+        boundary cell followed by the empty sequence at b.  A sequence cell
+        joins P(a, b) followed by the cells continuing from b.  A cell is
+        made only where a join writes it, so every cell counts > 0; a
+        backward pass from the finals then keeps only the cells some final
+        reads, so the program is the reduced chart.
         """
         n, delta = self.n, self.auto.delta
         live = self._live()
         cell_ids: dict = {}
+        groups: dict = {}  # written cell -> (lefts, rights), by first write
+        openers: dict = {}  # P cell -> opener of each of its pairs
 
         def cell(kind, a, b):
             return cell_ids.setdefault((kind, a, b), len(cell_ids))
 
         def join(kind, s, spans, rows):
-            ops = []
             for p in spans:
                 for (a, b), f in p_cells[p].items():
                     rest = seq_rows[s - p].get(b)
@@ -216,8 +232,19 @@ class _Intersection:
                         dst = row.get(c)
                         if dst is None:
                             dst = row[c] = cell(kind, a, c)
-                        ops.append((dst, f, src))
-            return ops
+                            groups[dst] = ([], [])
+                        lefts, rights = groups[dst]
+                        lefts.append(f)
+                        rights.append(src)
+
+        def fold(s, a, b, left, right, opener):
+            f = p_cells[s].get((a, b))
+            if f is None:
+                f = p_cells[s][a, b] = cell("P", a, b)
+                groups[f], openers[f] = ([], []), []
+            groups[f][0].append(left)
+            groups[f][1].append(right)
+            openers[f].append(opener)
 
         empty_cells = []
         seq_rows = [dict() for _ in range(n)]  # span -> a -> {b: cell}
@@ -227,14 +254,10 @@ class _Intersection:
                 c = cell("seq", a, a)
                 seq_rows[0][a] = {a: c}
                 empty_cells.append(c)
-        pair_index = [[] for _ in range(n)]
         p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
-        npairs = 0
-        span_ops = []
         for s in range(1, n):
             content_rows: dict = {}
-            content_ops = join("content", s, range(1, s), content_rows)
-            entries, pairs = pair_index[s], []
+            join("content", s, range(1, s), content_rows)
             if s == 1:
                 # boundary pairs; each is also the whole inside of a span-1
                 # edge pair
@@ -243,79 +266,83 @@ class _Intersection:
                         if self.boundary[q] < 0:
                             continue
                         a, b = (u, q), (u + 1, self.boundary[q])
-                        entries.append((a, b, npairs, None, None))
-                        pairs.append(None)
-                        npairs += 1
-                        c = cell("content", a, b)
-                        content_rows[a] = {b: c}
+                        c = cell("{}", a, b)
                         empty_cells.append(c)
+                        content_rows[a] = {b: c}
+                        fold(s, a, b, c, seq_rows[0][b][b], None)
             for u in range(1, n - s + 1):
                 v = u + s
                 for qa in live[u]:
                     for (o, q1, close) in self.openers[qa]:
                         for (_v, q2), ccell in content_rows.get((u, q1), {}).items():
                             qb = delta[q2][close]
-                            if qb < 0:
-                                continue
-                            entries.append(((u, qa), (v, qb), npairs, o, ccell))
-                            pairs.append((o.orientation, u, v, ccell))
-                            npairs += 1
-            fold = [cell("P", a, b) for (a, b, *_rest) in entries]
-            p_cells[s] = {(a, b): f for (a, b, *_rest), f in zip(entries, fold)}
-            seq_ops = join("seq", s, range(1, s + 1), seq_rows[s])
-            span_ops.append((content_ops, pairs, fold, seq_ops))
+                            if qb >= 0:
+                                k = cell("pair", o.orientation, (u, v))
+                                fold(s, (u, qa), (v, qb), k, ccell, o)
+            join("seq", s, range(1, s + 1), seq_rows[s])
         whole = seq_rows[n - 1].get((1, self.auto.start), {})
         finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
-        self._prog = (len(cell_ids), empty_cells, span_ops, finals)
-        return self._prog, list(cell_ids), pair_index
+
+        # every input of a group was written earlier, so one backward pass
+        # marks all that some final reads
+        needed = bytearray(len(cell_ids))
+        for _qf, c in finals:
+            needed[c] = 1
+        for dst, (lefts, rights) in reversed(groups.items()):
+            if needed[dst]:
+                for c in lefts:
+                    needed[c] = 1
+                for c in rights:
+                    needed[c] = 1
+        keys = [key for key, c in cell_ids.items() if needed[c]]
+        renum = [-1] * len(cell_ids)
+        for i, c in enumerate(c for c in range(len(cell_ids)) if needed[c]):
+            renum[c] = i
+        at = renum.__getitem__
+        program = (len(keys),
+                   tuple(at(c) for c in empty_cells if needed[c]),
+                   tuple((at(c), key[1], *key[2]) for key, c in cell_ids.items()
+                         if key[0] == "pair" and needed[c]),
+                   tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
+                         for dst, (lefts, rights) in groups.items() if needed[dst]),
+                   tuple((qf, at(c)) for qf, c in finals))
+        self._prog = program
+        return program, keys, {at(f): ops for f, ops in openers.items() if needed[f]}
 
     def _program(self):
-        """The cached op schedule; the state endpoints are not kept."""
+        """The cached program; the cell keys and openers are not kept."""
         if self._prog is None:
             self._compile()
         return self._prog
 
-    def replay(self, algebra) -> tuple:
-        """Values of every cell and pair under `algebra`, by replaying the
-        op schedule without touching the automaton again."""
-        ncells, empty_cells, span_ops, _finals = self._program()
+    def replay(self, algebra) -> list:
+        """Values of every cell under `algebra`, by replaying the program
+        without touching the automaton again: one join per group.  concat
+        distributes over joinall, so joining the pairs of one P(a, b)
+        before they meet their continuations keeps every value exact."""
+        ncells, empty_cells, pair_cells, groups, _finals = self._program()
         cells = [algebra.zero] * ncells
         empty = algebra.empty()
         for c in empty_cells:
             cells[c] = empty
-        pairvals: list = []
-        pair_alg = algebra.pair
-        concat = algebra.concat
-        joinval = algebra.joinval
-        # Cells start at the algebra's zero, the identity of joinval.  Every
-        # cell and pair the compiler creates gets a value: each op reads
-        # cells of earlier spans or of this span's earlier phase, and each
-        # of those was written.  concat distributes over joinval, so
-        # folding the pairs of one (a, b) before the joins keeps every
-        # value exact.
-        for (content_ops, pairs, fold, seq_ops) in span_ops:
-            for (dst, p, src) in content_ops:
-                cells[dst] = joinval(cells[dst], concat(cells[p], cells[src]))
-            vals = [empty if d is None else pair_alg(d[0], d[1], d[2], cells[d[3]])
-                    for d in pairs]
-            for f, val in zip(fold, vals):
-                cells[f] = joinval(cells[f], val)
-            pairvals += vals
-            for (dst, p, src) in seq_ops:
-                cells[dst] = joinval(cells[dst], concat(cells[p], cells[src]))
-        return cells, pairvals
+        for c, o, u, v in pair_cells:
+            cells[c] = algebra.pair(o, u, v)
+        get, concat, joinall = cells.__getitem__, algebra.concat, algebra.joinall
+        for dst, lefts, rights in groups:
+            cells[dst] = joinall(map(concat, map(get, lefts), map(get, rights)))
+        return cells
 
     def totals(self, algebra) -> dict:
         """Aggregated values over the whole language, keyed by final state."""
-        cells, _pairvals = self.replay(algebra)
-        return {qf: cells[c] for qf, c in self._program()[3]}
+        cells = self.replay(algebra)
+        return {qf: cells[c] for qf, c in self._program()[4]}
 
 
 class _CountAlgebra:
     """Derivation counts; a pair the lexicon forbids counts 0."""
 
     concat = operator.mul
-    joinval = operator.add
+    joinall = sum
     zero = 0
 
     def __init__(self, lex: Optional[LexicalConstraint] = None):
@@ -324,8 +351,8 @@ class _CountAlgebra:
     def empty(self):
         return 1
 
-    def pair(self, orientation, u, v, content):
-        return content if self.lex is None or self.lex.allows(orientation, u, v) else 0
+    def pair(self, orientation, u, v):
+        return int(self.lex is None or self.lex.allows(orientation, u, v))
 
 
 class _MaxAlgebra:
@@ -334,14 +361,15 @@ class _MaxAlgebra:
         key(A) = W(A)·M1 − |A|·M2 + mask(A)
 
     W is the arc-weight sum scaled to an integer by the least common
-    multiple of the weights' denominators.  mask sets bit N−1−r for each
-    arc, where r(i, j) = (i−1)·n + (j−1) is the arc's rank in sorted order
-    and N = n².  M2 = 2^N and M1 = (n²+2)·M2 keep the three fields apart, so
-    the larger key has the larger weight, then fewer arcs, then the larger
-    mask.  Of two arc sets of one size, the lexicographically smaller
-    sorted list is the one holding the smallest arc of their symmetric
-    difference, which is the one with the larger mask.  The two parts of a
-    concat have disjoint arcs, so adding their keys unions their masks.
+    multiple of the weights' denominators (integer weights are used as
+    they are).  mask sets bit N−1−r for each arc, where r(i, j) = (i−1)·n +
+    (j−1) is the arc's rank in sorted order and N = n².  M2 = 2^N and M1 =
+    (n²+2)·M2 keep the three fields apart, so the larger key has the larger
+    weight, then fewer arcs, then the larger mask.  Of two arc sets of one
+    size, the lexicographically smaller sorted list is the one holding the
+    smallest arc of their symmetric difference, which is the one with the
+    larger mask.  The two parts of a concat have disjoint arcs, so adding
+    their keys unions their masks.
 
     A pair the lexicon forbids gets the key −(W_total+2)·M1, where W_total
     is the sum of all scaled weights.  Every legal key is above −M1, since
@@ -351,33 +379,36 @@ class _MaxAlgebra:
     """
 
     concat = operator.add
-    joinval = max
+    joinall = max
     zero = -math.inf
 
     def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):
         n = self.n = w.n
-        m2 = self.m2 = 1 << (n * n)
-        m1 = self.m1 = (n * n + 2) * m2
-        scale = math.lcm(*(Fraction(v).denominator for v in w.w.values()))
-
-        def arc(i, j):  # key of the one-arc set {(i, j)}, of rank r
-            r = (i - 1) * n + (j - 1)
-            return int(Fraction(w.get(i, j)) * scale) * m1 - m2 + (1 << (n * n - 1 - r))
-
-        forbidden = -(sum(int(Fraction(v) * scale) for v in w.w.values()) + 2) * m1
-        self._pair = {}  # (orientation, u, v) -> key added by that pair
+        nn = n * n
+        m2 = self.m2 = 1 << nn
+        m1 = self.m1 = (nn + 2) * m2
+        if all(isinstance(v, int) for v in w.w.values()):
+            scaled = w.w
+        else:
+            exact = {ij: Fraction(v) for ij, v in w.w.items()}
+            scale = math.lcm(*(f.denominator for f in exact.values()))
+            scaled = {ij: int(f * scale) for ij, f in exact.items()}
+        weight = scaled.get
+        forbidden = -(sum(scaled.values()) + 2) * m1
+        self._pair = keys = {}  # (orientation, u, v) -> key added by that pair
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
-                for o, key in ((FORWARD, arc(u, v)), (BACKWARD, arc(v, u)),
-                               (BIDIRECTIONAL, arc(u, v) + arc(v, u))):
-                    legal = lex is None or lex.allows(o, u, v)
-                    self._pair[o, u, v] = key if legal else forbidden
+                # one-arc keys of (u, v) and (v, u), of ranks r and r'
+                fwd = weight((u, v), 0) * m1 - m2 + (1 << (nn - u * n + n - v))
+                bwd = weight((v, u), 0) * m1 - m2 + (1 << (nn - v * n + n - u))
+                for o, key in ((FORWARD, fwd), (BACKWARD, bwd), (BIDIRECTIONAL, fwd + bwd)):
+                    keys[o, u, v] = key if lex is None or lex.allows(o, u, v) else forbidden
 
     def empty(self):
         return 0
 
-    def pair(self, orientation, u, v, content):
-        return content + self._pair[orientation, u, v]
+    def pair(self, orientation, u, v):
+        return self._pair[orientation, u, v]
 
     def arcs(self, key: int) -> frozenset:
         """The arc set whose mask is the low field of `key`."""
@@ -411,36 +442,56 @@ def count_family_strings(n: int, req: Iterable = (), lex: Optional[LexicalConstr
 
 def build_intersection_grammar(n: int, req: Iterable = (),
                                lex: Optional[LexicalConstraint] = None) -> Grammar:
-    """Materialized Bar-Hillel product grammar for the family language.
+    """Materialized Bar-Hillel product grammar for the family language,
+    reduced: every nonterminal is reachable from the start and productive.
 
     Nonterminals are ("S"|"P", (u, q), (v, q')): a vertex span u..v and
     the family table's states at its ends; terminals are latent brackets.
-    The productions are read off the compiled op schedule: a sequence op
-    gives S → P S, a pair gives P → { } or P → opener S closer, a span-0
-    cell gives S → ε and a final gives S0 → S.  The ops, pairs and finals
-    that count 0 under the lexicon are left out.
+    The productions are read off the compiled program: a join into a
+    content or sequence cell gives S → P S (the two cells of one node pair
+    are one S), a pair gives P → { }, P → opener S closer or, when its
+    inside is a boundary pair, P → opener { } closer, a span-0 cell gives
+    S → ε and a final gives S0 → S.  The joins, pairs and finals that count
+    0 under the lexicon are left out, and so is every nonterminal only
+    they reach.
     """
     inter = _intersection(n, req, lex)
-    (_ncells, _empty, span_ops, finals), cell_keys, pair_index = inter._compile()
-    cells, pairvals = inter.replay(_CountAlgebra(lex))
+    (_ncells, empty_cells, _pairs, groups, finals), cell_keys, openers = inter._compile()
+    cells = inter.replay(_CountAlgebra(lex))
 
-    def seq_nt(c):
-        return ("S",) + cell_keys[c][1:]
+    def nt(c):
+        kind, a, b = cell_keys[c]
+        return ("P" if kind == "P" else "S", a, b)
 
-    productions = {(("S", a, b), ()) for (_k, a, b) in cell_keys if a == b}
-    for (_content_ops, _pairs, _fold, seq_ops) in span_ops:
-        productions.update((seq_nt(dst), (cell_keys[p], seq_nt(src)))
-                           for (dst, p, src) in seq_ops if cells[p] and cells[src])
-    for entries in pair_index:
-        for (a, b, pid, opener, ccell) in entries:
-            if pairvals[pid]:
-                rhs = ((BOUNDARY_OPEN, BOUNDARY_CLOSE) if opener is None
-                       else (opener, seq_nt(ccell), opener.partner()))
-                productions.add((("P", a, b), rhs))
     start = ("S0",)
-    finals = [c for (_qf, c) in finals if cells[c]]
-    productions.update((start, (seq_nt(c),)) for c in finals)
-    if not finals:
+    productions = set()
+    reached = bytearray(len(cells))
+    for _qf, c in finals:
+        if cells[c]:
+            reached[c] = 1
+            productions.add((start, (nt(c),)))
+    # a group reads only earlier cells, so a backward pass reaches them all
+    for dst, lefts, rights in reversed(groups):
+        if not reached[dst]:
+            continue
+        pair_openers = openers.get(dst)
+        for i, (left, right) in enumerate(zip(lefts, rights)):
+            if not (cells[left] and cells[right]):
+                continue
+            if pair_openers is None:
+                reached[left] = reached[right] = 1
+                rhs = (nt(left), nt(right))
+            elif (o := pair_openers[i]) is None:
+                rhs = (BOUNDARY_OPEN, BOUNDARY_CLOSE)
+            elif cell_keys[right][0] == "{}":
+                rhs = (o, BOUNDARY_OPEN, BOUNDARY_CLOSE, o.partner())
+            else:
+                reached[right] = 1
+                rhs = (o, nt(right), o.partner())
+            productions.add((nt(dst), rhs))
+    productions.update((nt(c), ()) for c in empty_cells
+                       if reached[c] and cell_keys[c][0] == "seq")
+    if not productions:
         # empty language: the start expands only to an unproductive marker
         productions.add((start, (("DEAD",),)))
         productions.add((("DEAD",), (("DEAD",),)))

@@ -81,6 +81,18 @@ def test_infinitely_many_derivations_raise():
             string_counts_by_length(g, 2)
 
 
+def test_same_position_reads_after_nullable_symbols():
+    # S reads X at its own start position once the nullable N is skipped;
+    # X is left-recursive, and S -> N S loops through N -> ε
+    g = Grammar("S", (("S", ("N", "X")), ("N", ()), ("N", ("b",)),
+                      ("X", ("a",)), ("X", ("X", "c"))))
+    assert [derivation_count(g, s) for s in ("a", "ba", "acc", "b", "")] == [1, 1, 1, 0, 0]
+    assert string_counts_by_length(g, 3) == [0, 1, 2, 2]
+    loop = Grammar("S", (("S", ("N", "S")), ("S", ("a",)), ("N", ()), ("N", ("b",))))
+    with pytest.raises(ValueError):
+        derivation_count(loop, "a")
+
+
 def test_image_equivalence_up_to_length_14():
     g = grammar_nc_graph()
     images = loopfree_images_by_length(14)

@@ -201,16 +201,42 @@ _PROGRAM_FAMS = (frozenset(), frozenset({PropertyId.ACYC_D}),
 
 
 def test_compiled_program_leaves_no_dead_value():
-    # every cell, pair and P(a, b) cell the compiler creates counts > 0
-    from ncdigraph.inference import _CountAlgebra, _intersection
+    # the program is the reduced chart: every cell, pair value and P(a, b)
+    # cell the compiler keeps counts > 0 and is read, through the groups, by
+    # a final
+    from ncdigraph.inference import _CountAlgebra, _Intersection
 
     for fam in _PROGRAM_FAMS:
-        for n in (1, 2, 3, 4):
-            inter = _intersection(n, fam)
-            cells, pairs = inter.replay(_CountAlgebra())
-            folds = {f for span in inter._program()[2] for f in span[2]}
-            assert all(v > 0 for v in cells + pairs)
+        for n in (1, 2, 3, 4, 5):
+            inter = _Intersection(n, fam)
+            (ncells, empty, pair_cells, groups, finals), keys, openers = inter._compile()
+            cells = inter.replay(_CountAlgebra())
+            assert len(cells) == len(keys) == ncells
+            assert all(v > 0 for v in cells)
+            assert all(cells[left] * cells[right] > 0
+                       for _dst, lefts, rights in groups
+                       for left, right in zip(lefts, rights))
+            folds = [c for c, key in enumerate(keys) if key[0] == "P"]
             assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
+            assert sorted(openers) == folds
+            # each cell is set once, as an input or by one group, and a group
+            # reads only cells already set
+            inputs = list(empty) + [c for c, *_kind in pair_cells]
+            assert sorted(inputs + [d for d, _l, _r in groups]) == list(range(ncells))
+            ready = set(inputs)
+            for dst, lefts, rights in groups:
+                assert ready.issuperset(lefts) and ready.issuperset(rights)
+                ready.add(dst)
+            # co-reachable: a search down from the finals meets every cell
+            reads = {dst: lefts + rights for dst, lefts, rights in groups}
+            seen = {c for _qf, c in finals}
+            todo = list(seen)
+            while todo:
+                for c in reads.get(todo.pop(), ()):
+                    if c not in seen:
+                        seen.add(c)
+                        todo.append(c)
+            assert seen == set(range(ncells))
 
 
 def test_pair_fold_has_the_grammar_shape():
@@ -220,13 +246,51 @@ def test_pair_fold_has_the_grammar_shape():
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, cell_keys, _pairs = _Intersection(n, fam)._compile()
+            _prog, cell_keys, _openers = _Intersection(n, fam)._compile()
             g = build_intersection_grammar(n, fam)
             p_lhs = {lhs for lhs, _rhs in g.productions if lhs[0] == "P"}
             assert len(p_lhs) == sum(key[0] == "P" for key in cell_keys)
-    spans = _Intersection(9)._program()[2]
-    joins = sum(len(content) + len(seq) for (content, _p, _f, seq) in spans)
-    assert joins == 25_639  # 169,631 before the fold
+    _prog, cell_keys, _openers = _Intersection(9)._compile()
+    joins = sum(len(lefts) for dst, lefts, _rights in _prog[3]
+                if cell_keys[dst][0] != "P")
+    # 169,631 before the fold, 25,639 before the trim to the reduced chart
+    assert joins == 12_088
+
+
+def _reduced(g):
+    """Whether every nonterminal of g is reachable from the start and
+    derives some terminal string."""
+    table = g.by_lhs()
+    productive: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhss in table.items():
+            if lhs not in productive and any(
+                    all(sym not in table or sym in productive for sym in rhs)
+                    for rhs in rhss):
+                productive.add(lhs)
+                grew = True
+    reachable, todo = {g.start}, [g.start]
+    while todo:
+        for rhs in table[todo.pop()]:
+            for sym in rhs:
+                if sym in table and sym not in reachable:
+                    reachable.add(sym)
+                    todo.append(sym)
+    return productive == reachable == set(table)
+
+
+def test_intersection_grammar_is_reduced():
+    rng = random.Random(43)
+    for fam in _PROGRAM_FAMS:
+        for n in (1, 2, 3, 4, 5):
+            for lex in (None, _lexicon(n), _random_lexicon(rng, n)):
+                g = build_intersection_grammar(n, fam, lex)
+                if count_family_strings(n, fam, lex):
+                    assert _reduced(g), (n, sorted(fam), lex)
+                else:
+                    assert g.nonterminals == {("S0",), ("DEAD",)}
 
 
 def test_parse_max_all_ones_n3():
@@ -456,7 +520,7 @@ def test_lexicon_parse_weight_matches_interval_dp(seed):
 def test_parse_weight_matches_interval_dp(seed):
     # no lexicon, sizes well past the brute-force oracle's n <= 6
     rng = random.Random(seed)
-    n = rng.randint(1, 14)
+    n = rng.randint(1, 20)
     w = random_weights(rng, n)
     assert parse_max(w).weight == _interval_max(w, LexicalConstraint({}))
 
@@ -469,3 +533,41 @@ def test_parse_weight_is_arc_sum(seed):
     w = random_weights(rng, n) if n > 1 else WeightMatrix(1, {})
     res = parse_max(w)
     assert res.weight == sum(w.get(i, j) for (i, j) in res.digraph.arcs)
+
+
+@given(st.integers(min_value=1, max_value=7),
+       st.sampled_from(("int", "fraction", "float")), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
+    # key(A) = W(A)·M1 − |A|·M2 + mask(A) for the arcs A of each pair, and
+    # −(W_total+2)·M1 for a pair the lexicon forbids, as exact integers
+    from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
+    from ncdigraph.inference import _MaxAlgebra
+
+    rng = random.Random(seed)
+    draw = {"int": lambda: rng.randrange(100),
+            "fraction": lambda: Fraction(rng.randrange(50), rng.randrange(1, 12)),
+            "float": lambda: rng.randrange(1000) / rng.choice((1, 3, 4, 10))}[kind]
+    w = WeightMatrix(n, {(i, j): draw() for i in range(1, n + 1)
+                         for j in range(1, n + 1) if i != j and rng.random() < 0.8})
+    lex = _random_lexicon(rng, n) if with_lexicon else None
+    exact = {ij: Fraction(v) for ij, v in w.w.items()}
+    scale = math.lcm(*(f.denominator for f in exact.values()))
+    m2 = 2 ** (n * n)
+    m1 = (n * n + 2) * m2
+
+    def key(arcs):
+        weight = sum(exact.get(arc, 0) for arc in arcs) * scale
+        mask = sum(2 ** (n * n - 1 - ((i - 1) * n + (j - 1))) for i, j in arcs)
+        return int(weight) * m1 - len(arcs) * m2 + mask
+
+    forbidden = -(int(sum(exact.values()) * scale) + 2) * m1
+    alg = _MaxAlgebra(w, lex)
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            for o, arcs in ((FORWARD, [(u, v)]), (BACKWARD, [(v, u)]),
+                            (BIDIRECTIONAL, [(u, v), (v, u)])):
+                want = key(arcs) if lex is None or lex.allows(o, u, v) else forbidden
+                got = alg.pair(o, u, v)
+                assert got == want and type(got) is int
