@@ -15,11 +15,9 @@ from .latent import (LatentBracket, constraint_accepts, h_lat, latent_encode,
 from .ontology import (FamilyClass, Lattice, build_lattice, classify,
                        count_family, sequence)
 from .inference import (LexicalConstraint, NoParseError, ParseResult,
-                        WeightMatrix, brute_force_max,
-                        build_intersection_grammar, count_family_strings,
-                        parse_max, vertex_language)
+                        WeightMatrix, build_intersection_grammar,
+                        count_family_strings, parse_max)
 from .cfg import (DyckSpec, Grammar, Homomorphism, cs_components_graph,
-                  derivation_count, dyck_check, grammar_nc_graph,
-                  intersect_representations, membership)
+                  derivation_count, dyck_check, grammar_nc_graph, membership)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -196,12 +196,6 @@ class TableDfa(Dfa):
         return self.final[q]
 
 
-def intersect_representations(r1: Dfa, r2: Dfa) -> Dfa:
-    """Product construction; with r1, r2 sublanguages of a master recognizer
-    the representation h(D ∩ (r1 ∩ r2)) denotes the intersection language."""
-    return ProductDfa([r1, r2])
-
-
 # ---------------------------------------------------------------------------
 # The explicit grammars for encoded noncrossing graphs.
 

@@ -3,7 +3,8 @@
 Digraph file: line 1 is ``n <count>``; every further non-empty, non-``#``
 line is ``<u> <v>`` for the arc u->v.  Undirected edges are serialized as
 two arcs.  Weight file: line 1 ``n <count>``, then ``<i> <j> <weight>`` with
-decimal weights (missing pairs default to 0).  Lexicon file: ``<vertex>
+plain decimal weights such as ``3``, ``0.25`` or ``.5`` (no exponent or
+ratio; missing pairs default to 0).  Lexicon file: ``<vertex>
 <flags>`` with flags among in-left, in-right, out-left, out-right, bidir;
 omitted vertices are unrestricted.  A pair or vertex given twice is an
 error.
@@ -11,6 +12,7 @@ error.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .digraphs import Digraph, Graph, make_digraph
@@ -18,6 +20,10 @@ from .digraphs import Digraph, Graph, make_digraph
 
 class FormatError(ValueError):
     pass
+
+
+# a plain signed decimal: no exponent, ratio, nan or inf
+_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)", re.ASCII)
 
 
 def _data_lines(text: str) -> list:
@@ -79,6 +85,8 @@ def parse_weights(text: str):
         arc = int(parts[0]), int(parts[1])
         if arc in weights:
             raise FormatError(f"repeated weight line: {line!r}")
+        if not _DECIMAL.fullmatch(parts[2]):
+            raise FormatError(f"weight is not a decimal number: {line!r}")
         weights[arc] = Fraction(parts[2])
     return WeightMatrix(n, weights)  # checks each weight's position and sign
 

@@ -1,29 +1,30 @@
 """Generic arc-factored max-weight inference over noncrossing digraph
 families.
 
-The search space is the language D_55 ∩ Reg_lat ∩ G_n ∩ (family
-constraints) ∩ (lexical constraints), represented as a Bar-Hillel product of
-the Dyck grammar with a recognizer.  The recognizer is the minimal integer
-table of Reg_lat ∩ (family constraints), built once per family.  Chart items
-are (vertex, state) nodes: the vertex comes from the chart's position, so
-every bracket pair knows its vertex endpoints and its arc weights.  Items
-are computed by increasing vertex span in one bottom-up pass, compiled once
-per (n, family) into a weight-independent program.  Each span has content
-cells (the insides of its edge pairs), P(a, b) cells that join the span's
-bracket pairs with end nodes a and b, and sequence cells, which join P(a, b)
-with the cells continuing from b.  The joins thus meet endpoints, not pairs
-(the arc item split from the sequence item, as in Eisner 1996), and the
-program has the shape of the grammar it materializes.  The compiler keeps
-only the cells that feed a final cell, so the program is the reduced chart,
-and it stores each kept cell as one group: the join of its (left, right)
-operand pairs.  A bracket pair enters as a pair cell per (orientation, u,
-v), which the algebra fills when a replay starts, so pair values, content,
-P(a, b) and sequence cells all have the one group shape and a replay is one
-loop over the groups.  That one program serves counting (a replay with
-integer counts), max-weight parsing (a replay with integer max-plus keys)
-and grammar materialization (its groups read as productions).  The lexicon
-is not compiled in: whether a pair is allowed depends only on its
-orientation and its two vertices, so the algebras apply it to the pair
+The search space is the language D_55 ∩ Reg_lat ∩ (family constraints) ∩
+(lexical constraints) of encodings of n-vertex digraphs, represented as a
+Bar-Hillel product of the Dyck grammar with a recognizer.  The recognizer is
+the minimal integer table of Reg_lat ∩ (family constraints), built once per
+family.  Chart items are (vertex, state) nodes: the vertex comes from the
+chart's position, so the chart itself fixes the vertex count (n - 1 boundary
+pairs), and every bracket pair knows its vertex endpoints and its arc
+weights.  Items are computed by increasing vertex span in one bottom-up
+pass, compiled once per (n, family) into a weight-independent program.  Each
+span has content cells (the insides of its edge pairs), P(a, b) cells that
+join the span's bracket pairs with end nodes a and b, and sequence cells,
+which join P(a, b) with the cells continuing from b.  The joins thus meet
+endpoints, not pairs (the arc item split from the sequence item, as in
+Eisner 1996), and the program has the shape of the grammar it materializes.
+The compiler keeps only the cells that feed a final cell, so the program is
+the reduced chart, and it stores each kept cell as one group: the join of
+its (left, right) operand pairs.  A bracket pair enters as a pair cell per
+(orientation, u, v), which the algebra fills when a replay starts, so pair
+values, content, P(a, b) and sequence cells all have the one group shape and
+a replay is one loop over the groups.  That one program serves counting (a
+replay with integer counts), max-weight parsing (a replay with integer
+max-plus keys) and grammar materialization (its groups read as productions).
+The lexicon is not compiled in: whether a pair is allowed depends only on
+its orientation and its two vertices, so the algebras apply it to the pair
 cells.
 A max key packs the scaled weight, the arc count and an arc bitmask into one
 Python integer, so the integer maximum is the documented tie-break (maximum
@@ -39,9 +40,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Optional
 
-from .cfg import Dfa, Grammar, ProductDfa, TableDfa
+from .cfg import Grammar, ProductDfa, TableDfa
 from .chains import BACKWARD, BIDIRECTIONAL, FORWARD
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
@@ -109,26 +111,6 @@ class LexicalConstraint:
 class ParseResult:
     digraph: Digraph
     weight: object  # int or Fraction
-
-
-class CounterDfa(Dfa):
-    """G_n: exactly n-1 boundary pairs (counts opening boundary brackets)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.start = 0
-
-    def step(self, q, b):
-        if b.base == "{":
-            return q + 1 if q + 1 <= self.n - 1 else None
-        return q
-
-    def is_final(self, q) -> bool:
-        return q == self.n - 1
-
-
-def vertex_language(n: int) -> CounterDfa:
-    return CounterDfa(n)
 
 
 @lru_cache(maxsize=None)
@@ -521,28 +503,14 @@ def _family_table(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _brute_arrays(n: int):
-    import numpy as np
-
-    table = _family_table(n)
-    rows = len(table)
-    prop_bits = np.zeros(rows, dtype=np.uint16)
-    arc_rows, arc_cols = [], []
-    for r, (arcs, props) in enumerate(table):
-        mask = 0
-        for k, p in enumerate(PropertyId):
-            if p in props:
-                mask |= 1 << k
-        prop_bits[r] = mask
-        for (i, j) in arcs:
-            arc_rows.append(r)
-            arc_cols.append((i - 1) * n + (j - 1))
-    order = sorted(range(rows), key=lambda r: (len(table[r][0]), table[r][0]))
-    tie_rank = np.empty(rows, dtype=np.int64)
-    for rank, r in enumerate(order):
-        tie_rank[r] = rank
-    return (np.asarray(arc_rows, dtype=np.int64),
-            np.asarray(arc_cols, dtype=np.int64), prop_bits, tie_rank)
+def _family_members(n: int, req: frozenset) -> tuple:
+    """The family's arc lists in tie-break order (fewest arcs, then the
+    smallest sorted list), and for each the flat ranks (i-1)·n + (j-1) of
+    its arcs."""
+    members = sorted((arcs for arcs, props in _family_table(n) if req <= props),
+                     key=lambda arcs: (len(arcs), arcs))
+    return tuple(members), tuple(tuple((i - 1) * n + j - 1 for (i, j) in arcs)
+                                 for arcs in members)
 
 
 def brute_force_max(w: WeightMatrix, req: Iterable = ()) -> ParseResult:
@@ -550,42 +518,14 @@ def brute_force_max(w: WeightMatrix, req: Iterable = ()) -> ParseResult:
     with the same tie-breaking rule as parse_max."""
     if w.n > 6:
         raise ValueError("brute force is limited to n <= 6")
-    req = frozenset(req)
-    if all(isinstance(v, int) for v in w.w.values()):
-        return _brute_force_max_int(w, req)
-    best = None  # (weight, arc count, sorted arcs)
-    for arcs, props in _family_table(w.n):
-        if not req <= props:
-            continue
-        weight = sum(w.get(i, j) for (i, j) in arcs)
-        if best is None or weight > best[0] or (
-                weight == best[0] and (len(arcs), arcs) < best[1:]):
-            best = (weight, len(arcs), arcs)
-    if best is None:
-        raise NoParseError("the requested family is empty for this input")
-    return ParseResult(Digraph(w.n, frozenset(best[2])), best[0])
-
-
-def _brute_force_max_int(w: WeightMatrix, req: frozenset) -> ParseResult:
-    import numpy as np
-
     n = w.n
-    table = _family_table(n)
-    arc_rows, arc_cols, prop_bits, tie_rank = _brute_arrays(n)
-    wvec = np.zeros(n * n, dtype=np.int64)
-    for (i, j), val in w.w.items():
-        wvec[(i - 1) * n + (j - 1)] = val
-    scores = np.zeros(len(table), dtype=np.int64)
-    np.add.at(scores, arc_rows, wvec[arc_cols])
-    reqmask = 0
-    for k, p in enumerate(PropertyId):
-        if p in req:
-            reqmask |= 1 << k
-    ok = (prop_bits & np.uint16(reqmask)) == np.uint16(reqmask)
-    if not ok.any():
+    members, ranks = _family_members(n, frozenset(req))
+    if not members:
         raise NoParseError("the requested family is empty for this input")
-    cand = np.flatnonzero(ok)
-    best = scores[cand].max()
-    cand = cand[scores[cand] == best]
-    r = int(cand[np.argmin(tie_rank[cand])])
-    return ParseResult(Digraph(n, frozenset(table[r][0])), int(best))
+    flat = [0] * (n * n)
+    for (i, j), val in w.w.items():
+        flat[(i - 1) * n + j - 1] = val
+    scores = list(map(sum, map(map, repeat(flat.__getitem__), ranks)))
+    # the first maximum is the tie-break's choice among the heaviest members
+    arcs = members[scores.index(max(scores))]
+    return ParseResult(Digraph(n, frozenset(arcs)), sum(w.get(i, j) for (i, j) in arcs))

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from ncdigraph.cfg import (DyckSpec, Grammar, GraphReg, cs_components_graph,
-                           derivation_count, dyck_check, grammar_dyck2,
-                           grammar_nc_graph, graph_preimage_count,
-                           intersect_representations, membership, reg_strings,
+from ncdigraph.cfg import (DyckSpec, Grammar, GraphReg, ProductDfa,
+                           cs_components_graph, derivation_count, dyck_check,
+                           grammar_dyck2, grammar_nc_graph,
+                           graph_preimage_count, membership, reg_strings,
                            string_counts_by_length, tokenize_primed)
 from ncdigraph.codec import encode_graph
 from ncdigraph.digraphs import enumerate_noncrossing_graphs, make_graph
@@ -170,7 +170,7 @@ def test_intersection_with_universal_is_identity():
             return True
 
     d3, reg, h = cs_components_graph()
-    both = intersect_representations(reg, Universal())
+    both = ProductDfa([reg, Universal()])
     for s in reg_strings(reg, d3, 10):
         assert both.accepts(s)
 
@@ -178,7 +178,7 @@ def test_intersection_with_universal_is_identity():
 def test_bar_hillel_sanity_random_strings():
     d3, reg, _ = cs_components_graph()
     other = GraphReg()
-    prod = intersect_representations(reg, other)
+    prod = ProductDfa([reg, other])
     rng = random.Random(11)
     toks = ("[", "['", "]", "]'", "{", "}")
     for _ in range(500):

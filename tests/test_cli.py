@@ -160,7 +160,8 @@ def test_parse_weights_without_vertices_exit_1(tmp_path, capsys):
 def test_parse_weights_bad_entry_exit_1(tmp_path, capsys):
     f = tmp_path / "w.txt"
     for line, why in (("2 2 1", "diagonal"), ("1 2 -1", "nonnegative"),
-                      ("1 4 1", "out of range")):
+                      ("1 4 1", "out of range"), ("1 2 1/0", "decimal"),
+                      ("1 2 1e999999999", "decimal"), ("1 2 nan", "decimal")):
         f.write_text("n 3\n" + line + "\n")
         status, out, err = invoke(capsys, "parse", "--weights", str(f))
         assert status == 1

@@ -1,9 +1,12 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_noncrossing_digraph
 from ncdigraph.digraphs import (ALL_PROPERTIES, Digraph, PropertyId,
                                 check_property,
                                 count_noncrossing_digraphs_bruteforce,
@@ -144,6 +147,16 @@ def test_enumeration_reaches_n50_without_recursion():
     first = list(itertools.islice(enumerate_noncrossing_graphs(50), 3))
     assert [sorted(g.edges) for g in first] == [[], [(49, 50)], [(48, 50)]]
     assert all(g.n == 50 for g in first)
+
+
+def test_random_noncrossing_digraph_is_constructive():
+    # no rejection loop: 40 vertices take milliseconds, not forever
+    rng = random.Random(40)
+    t0 = time.perf_counter()
+    draws = [random_noncrossing_digraph(rng, 40) for _ in range(20)]
+    assert time.perf_counter() - t0 < 10
+    assert all(is_noncrossing(g) for g in draws)
+    assert max(g.n for g in draws) > 30 and max(len(g.arcs) for g in draws) > 30
 
 
 def test_enumeration_yields_unique_noncrossing(digraphs_by_n):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from ncdigraph.inference import (LEX_FLAGS, LexicalConstraint, NoParseError,
                                  WeightMatrix, brute_force_max,
                                  build_intersection_grammar,
                                  count_family_strings, family_automaton,
-                                 parse_max, vertex_language)
+                                 parse_max)
 from ncdigraph.latent import latent_encode
 from ncdigraph.ontology import count_family
 
@@ -26,18 +30,9 @@ def random_weights(rng, n, hi=60):
                             for j in range(1, n + 1) if i != j})
 
 
-def test_vertex_language_trivia():
-    g1 = vertex_language(1)
-    assert g1.accepts(())
-    g2 = vertex_language(2)
-    assert g2.accepts(latent_encode(next(enumerate_noncrossing_digraphs(2))))
-    assert not g2.accepts(())
-
-
-def test_vertex_language_composition_acyclic_n5():
-    # Id(Reg_lat ∩ A_D ∩ G_5) decodes to exactly the 5-vertex dags
-    auto = cfg.ProductDfa([family_automaton(frozenset({PropertyId.ACYC_D})),
-                           vertex_language(5)])
+def test_family_table_acyclic_n5():
+    # Reg_lat ∩ A_D accepts exactly the latent encodings of the 5-vertex dags
+    auto = family_automaton(frozenset({PropertyId.ACYC_D}))
     dags = 0
     for g in enumerate_noncrossing_digraphs(5):
         is_dag = check_property(g, PropertyId.ACYC_D)
@@ -353,6 +348,26 @@ def test_parse_tie_break_matches_brute():
                 assert pm.digraph == bm.digraph, (n, sorted(fam), w.w)
                 assert pm.weight == bm.weight
                 assert type(pm.weight) is type(bm.weight)
+
+
+def test_no_numpy_anywhere():
+    # the package, its CLI and the integer oracle path import no numpy
+    script = """
+import sys
+import ncdigraph, ncdigraph.cli
+from ncdigraph.inference import WeightMatrix, brute_force_max
+res = brute_force_max(WeightMatrix(3, {(1, 2): 4, (2, 3): 1, (3, 1): 2}))
+assert res.weight == 7 and type(res.weight) is int, res
+assert ncdigraph.cli.run(["count", "-n", "5"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "62464\n"
 
 
 def test_zero_matrix_tie_breaking():
