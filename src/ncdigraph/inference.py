@@ -10,19 +10,19 @@ chart's position, so the chart itself fixes the vertex count (n - 1 boundary
 pairs), and every bracket pair knows its vertex endpoints and its arc
 weights.  Items are computed by increasing vertex span in one bottom-up
 pass, compiled once per (n, family) into a weight-independent program.  Each
-span has content cells (the insides of its edge pairs), P(a, b) cells that
-join the span's bracket pairs with end nodes a and b, and sequence cells,
-which join P(a, b) with the cells continuing from b.  The joins thus meet
-endpoints, not pairs (the arc item split from the sequence item, as in
+span has P(a, b) cells that join the span's bracket pairs with end nodes a
+and b, and S cells that join P(a, b) with the S cells continuing from b; a
+pair's inside is the S row of the node after its opener.  The joins thus
+meet endpoints, not pairs (the arc item split from the sequence item, as in
 Eisner 1996), and the program has the shape of the grammar it materializes.
 The compiler keeps only the cells that feed a final cell, so the program is
 the reduced chart, and it stores each kept cell as one group: the join of
 its (left, right) operand pairs.  A bracket pair enters as a pair cell per
 (orientation, u, v), which the algebra fills when a replay starts, so pair
-values, content, P(a, b) and sequence cells all have the one group shape and
-a replay is one loop over the groups.  That one program serves counting (a
-replay with integer counts), max-weight parsing (a replay with integer
-max-plus keys) and grammar materialization (its groups read as productions).
+values, P(a, b) and S cells all have the one group shape and a replay is
+one loop over the groups.  That one program serves counting (a replay with
+integer counts), max-weight parsing (a replay with integer max-plus keys)
+and grammar materialization (its groups read as productions).
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -184,18 +184,21 @@ class _Intersection:
           materialization reads them, so the program is cached without
           them.
 
-        Each span has three phases.  A content cell holds the insides of
-        the span's edge pairs: a P cell of a shorter span followed by a
-        sequence cell.  A P(a, b) cell joins the span's pairs with end
-        nodes a and b: a pair cell followed by the pair's content, or a
-        boundary cell followed by the empty sequence at b.  A sequence cell
-        joins P(a, b) followed by the cells continuing from b.  A cell is
-        made only where a join writes it, so every cell counts > 0; a
-        backward pass from the finals then keeps only the cells some final
-        reads, so the program is the reduced chart.
+        Each node heads one row of S cells, by its state: a node right
+        after an opener starts pair insides, every other node sequences.
+        Each span joins the inside rows (a P cell of a shorter span
+        followed by an S cell; at span 1, a boundary cell), then makes its
+        P(a, b) cells (a pair cell followed by the pair's inside, or a
+        boundary cell followed by the empty S cell at b), then joins the
+        sequence rows (P(a, b) of the span or a shorter one followed by
+        the S cell continuing from b).  A cell is made only where a join
+        writes it, so every cell counts > 0; a backward pass from the
+        finals then keeps only the cells some final reads, so the program
+        is the reduced chart.
         """
         n, delta = self.n, self.auto.delta
         live = self._live()
+        inside = {q1 for moves in self.openers for _o, q1, _c in moves}
         cell_ids: dict = {}
         groups: dict = {}  # written cell -> (lefts, rights), by first write
         openers: dict = {}  # P cell -> opener of each of its pairs
@@ -203,17 +206,17 @@ class _Intersection:
         def cell(kind, a, b):
             return cell_ids.setdefault((kind, a, b), len(cell_ids))
 
-        def join(kind, s, spans, rows):
+        def join(s, spans, heads_inside):
             for p in spans:
                 for (a, b), f in p_cells[p].items():
-                    rest = seq_rows[s - p].get(b)
-                    if not rest:
+                    rest = rows[s - p].get(b)
+                    if not rest or (a[1] in inside) != heads_inside:
                         continue
-                    row = rows.setdefault(a, {})
+                    row = rows[s].setdefault(a, {})
                     for c, src in rest.items():
                         dst = row.get(c)
                         if dst is None:
-                            dst = row[c] = cell(kind, a, c)
+                            dst = row[c] = cell("S", a, c)
                             groups[dst] = ([], [])
                         lefts, rights = groups[dst]
                         lefts.append(f)
@@ -229,17 +232,16 @@ class _Intersection:
             openers[f].append(opener)
 
         empty_cells = []
-        seq_rows = [dict() for _ in range(n)]  # span -> a -> {b: cell}
+        rows = [dict() for _ in range(n)]  # span -> a -> {b: S cell}
         for u in range(1, n + 1):
             for q in live[u]:
                 a = (u, q)
-                c = cell("seq", a, a)
-                seq_rows[0][a] = {a: c}
+                c = cell("S", a, a)
+                rows[0][a] = {a: c}
                 empty_cells.append(c)
         p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
         for s in range(1, n):
-            content_rows: dict = {}
-            join("content", s, range(1, s), content_rows)
+            join(s, range(1, s), True)
             if s == 1:
                 # boundary pairs; each is also the whole inside of a span-1
                 # edge pair
@@ -250,19 +252,20 @@ class _Intersection:
                         a, b = (u, q), (u + 1, self.boundary[q])
                         c = cell("{}", a, b)
                         empty_cells.append(c)
-                        content_rows[a] = {b: c}
-                        fold(s, a, b, c, seq_rows[0][b][b], None)
+                        if q in inside:
+                            rows[s][a] = {b: c}
+                        fold(s, a, b, c, rows[0][b][b], None)
             for u in range(1, n - s + 1):
                 v = u + s
                 for qa in live[u]:
                     for (o, q1, close) in self.openers[qa]:
-                        for (_v, q2), ccell in content_rows.get((u, q1), {}).items():
+                        for (_v, q2), ccell in rows[s].get((u, q1), {}).items():
                             qb = delta[q2][close]
                             if qb >= 0:
                                 k = cell("pair", o.orientation, (u, v))
                                 fold(s, (u, qa), (v, qb), k, ccell, o)
-            join("seq", s, range(1, s + 1), seq_rows[s])
-        whole = seq_rows[n - 1].get((1, self.auto.start), {})
+            join(s, range(1, s + 1), False)
+        whole = rows[n - 1].get((1, self.auto.start), {})
         finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
 
         # every input of a group was written earlier, so one backward pass
@@ -429,13 +432,12 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     Nonterminals are ("S"|"P", (u, q), (v, q')): a vertex span u..v and
     the family table's states at its ends; terminals are latent brackets.
-    The productions are read off the compiled program: a join into a
-    content or sequence cell gives S → P S (the two cells of one node pair
-    are one S), a pair gives P → { }, P → opener S closer or, when its
-    inside is a boundary pair, P → opener { } closer, a span-0 cell gives
-    S → ε and a final gives S0 → S.  The joins, pairs and finals that count
-    0 under the lexicon are left out, and so is every nonterminal only
-    they reach.
+    The productions are read off the compiled program: a join into an S
+    cell gives S → P S, a pair gives P → { }, P → opener S closer or, when
+    its inside is a boundary pair, P → opener { } closer, a span-0 cell
+    gives S → ε and a final gives S0 → S.  The joins, pairs and finals that
+    count 0 under the lexicon are left out, and so is every nonterminal
+    only they reach.
     """
     inter = _intersection(n, req, lex)
     (_ncells, empty_cells, _pairs, groups, finals), cell_keys, openers = inter._compile()
@@ -472,7 +474,7 @@ def build_intersection_grammar(n: int, req: Iterable = (),
                 rhs = (o, nt(right), o.partner())
             productions.add((nt(dst), rhs))
     productions.update((nt(c), ()) for c in empty_cells
-                       if reached[c] and cell_keys[c][0] == "seq")
+                       if reached[c] and cell_keys[c][0] == "S")
     if not productions:
         # empty language: the start expands only to an unproductive marker
         productions.add((start, (("DEAD",),)))

@@ -9,6 +9,8 @@ and closer of a pair carry identical annotations, so the Dyck check
 transports chain states from left to right.  ``Reg_lat`` validates the
 annotations against their left context; the family constraints of the
 axiomatization are then forbidden-factor scans over adjacent brackets.
+``RegLat`` and ``ConstraintDfa`` define these recognizers; callers step
+their cached minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from . import chains
 from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
                      COVER_TWO_TURN, FORWARD, ChainState, cover_class,
                      first_state, segment_profile, state_by_name)
-from .cfg import Dfa, DyckSpec, dyck_preimage_count
-from .codec import encode_digraph, layout
+from .cfg import Dfa, DyckSpec, TableDfa, dyck_preimage_count
+from .codec import layout
 from .digraphs import Digraph, PropertyId, is_noncrossing
 
 OPENER_BASE = {FORWARD: "/", BACKWARD: "<", BIDIRECTIONAL: "["}
@@ -252,9 +254,7 @@ def latent_encode(g: Digraph) -> LatentString:
             base = OPENER_BASE[orient] if it[0] == "open" else CLOSER_BASE[orient]
             chain = LOOSE if rec.loose else rec.state.name
             out.append(LatentBracket(base, chain, rec.primed, rec.cover))
-    s = tuple(out)
-    assert h_lat(s) == encode_digraph(g)
-    return s
+    return tuple(out)
 
 
 def maximal_chains(g: Digraph) -> list:
@@ -412,27 +412,21 @@ class ConstraintDfa(Dfa):
             if in_B(b):
                 return ("run", 0)
             if in_Sigma_in(b):
-                if seen:
-                    return None
-                return ("run", 1)
+                return None if seen else ("run", 1)
             return ("run", seen)
         if self.prop == PropertyId.CONN_W:
-            if q[0] == "start":
-                if in_B(b):
-                    return None  # string may not begin with a boundary bracket
-            else:
-                if q[1] == "loose" and in_B(b):
-                    return None  # R_loose followed by a boundary bracket
+            if in_B(b) and (q[0] == "start" or q[1] == "loose"):
+                return None  # a boundary bracket at the start or after R_loose
             cls = ("loose" if in_R_loose(b) else
                    "bound" if in_B(b) else "other")
             return ("run", cls)
-        # adjacency-pattern properties
-        prev = None if q[0] == "start" else q[1]
-        if prev is not None:
-            for first, second in self.adjacent:
-                if first(prev) and second(b):
+        # adjacency-pattern properties: the state keeps, per forbidden
+        # factor, whether the previous bracket is in its first class
+        if q[0] != "start":
+            for hit, (_first, second) in zip(q[1], self.adjacent):
+                if hit and second(b):
                     return None
-        return ("run", b)
+        return ("run", tuple(first(b) for first, _ in self.adjacent))
 
     def is_final(self, q) -> bool:
         if self.prop == PropertyId.CONN_W:
@@ -440,14 +434,16 @@ class ConstraintDfa(Dfa):
         return True
 
 
-def constraint_dfa(prop: PropertyId) -> ConstraintDfa:
-    return ConstraintDfa(prop)
+@lru_cache(maxsize=None)
+def constraint_dfa(prop: PropertyId) -> TableDfa:
+    """The minimal table of prop's scan over the alphabet, built once."""
+    return TableDfa.compile(ConstraintDfa(prop), alphabet())
 
 
 def constraint_accepts(prop: PropertyId, s: Sequence) -> bool:
     """Table-1 constraint language for prop, as a linear scan.  The string is
     assumed to lie in D_55 ∩ Reg_lat."""
-    return ConstraintDfa(prop).accepts(s)
+    return constraint_dfa(prop).accepts(s)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +484,9 @@ class RegLat(Dfa):
                 segment_profile(b.orientation, b.cover))
             return ("opener",) if b.state == expect else None
         # closer
-        if kind in ("start", "opener", "}"):
-            if kind == "opener":
-                return None  # empty pair would be a self-loop
-            if kind == "start":
-                return None
+        if kind in ("start", "opener"):
+            return None  # nothing to close, or an empty pair (a self-loop)
+        if kind == "}":
             expect_cover = COVER_NONE
         else:
             _, mark, primed = q
@@ -511,8 +505,10 @@ class RegLat(Dfa):
         return q[0] in ("start", "}", "closer")
 
 
-def reg_lat() -> RegLat:
-    return RegLat()
+@lru_cache(maxsize=None)
+def reg_lat() -> TableDfa:
+    """The minimal table of Reg_lat over the alphabet, built once."""
+    return TableDfa.compile(RegLat(), alphabet())
 
 
 @lru_cache(maxsize=None)

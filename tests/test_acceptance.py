@@ -22,7 +22,7 @@ from ncdigraph.digraphs import (ALL_PROPERTIES, Digraph, PropertyId,
 from ncdigraph.inference import (LexicalConstraint, WeightMatrix,
                                  brute_force_max, parse_max)
 from ncdigraph.latent import (constraint_accepts, constraint_dfa, d55,
-                              latent_encode, preimage_count, reg_lat)
+                              h_lat, latent_encode, preimage_count, reg_lat)
 from ncdigraph.ontology import build_lattice, signature_string
 
 
@@ -102,6 +102,7 @@ def test_criterion_5_axiom_equivalence():
         for n in range(1, 6):
             for g in enumerate_noncrossing_digraphs(n):
                 s = latent_encode(g)
+                assert h_lat(s) == encode_digraph(g)
                 assert reg.accepts(s)
                 assert cfg.dyck_check(spec, s)
                 for p in ALL_PROPERTIES:

@@ -234,6 +234,25 @@ def test_compiled_program_leaves_no_dead_value():
             assert seen == set(range(ncells))
 
 
+def test_pair_insides_and_sequences_have_distinct_heads():
+    # the compiler gives each node one row of S cells, chosen by its state:
+    # pair insides for a state right after an opener, sequences for the
+    # start, a state after {} and a state after a closer; no state is both
+    from ncdigraph.inference import _Intersection
+
+    names = [p.value for p in PropertyId] + [
+        "polytree", "mixed-tree", "multitree", "wc-dag", "out-tree"]
+    fams = {parse_property_set(name) for name in names} | set(_PROGRAM_FAMS)
+    for fam in fams:
+        inter = _Intersection(1, fam)
+        auto = inter.auto
+        inside = {q1 for moves in inter.openers for _o, q1, _c in moves}
+        closers = [a for a, b in enumerate(auto.symbols) if b.is_closer]
+        heads = {auto.start, *inter.boundary}
+        heads |= {row[a] for row in auto.delta for a in closers}
+        assert inside and not inside & (heads - {-1}), sorted(fam)
+
+
 def test_pair_fold_has_the_grammar_shape():
     # one fold cell per ("P", a, b) nonterminal of the materialized grammar,
     # and the joins meet the continuation once per (a, b), not once per pair

@@ -1,14 +1,16 @@
 import itertools
+import random
 import warnings
 
-from ncdigraph import cfg
+from ncdigraph import cfg, inference
 from ncdigraph.chains import (BACKWARD, BIDIRECTIONAL, FORWARD, LOOSE, ONE,
                               ZERO, chain_step)
 from ncdigraph.codec import encode_digraph
 from ncdigraph.digraphs import (ALL_PROPERTIES, PropertyId,
                                 check_property, enumerate_noncrossing_digraphs,
                                 make_digraph)
-from ncdigraph.latent import (alphabet, bracket_classes, constraint_accepts,
+from ncdigraph.latent import (ConstraintDfa, RegLat, alphabet,
+                              bracket_classes, constraint_accepts,
                               constraint_dfa, d55, h_lat, latent_encode,
                               latent_to_str, maximal_chains, parse_latent,
                               preimage_count, reg_lat)
@@ -220,3 +222,73 @@ def test_reg_lat_state_count_regression_warning():
         warnings.warn(f"Reg_lat uses {len(seen)} reachable states "
                       "(folded target is 24)")
     assert len(seen) < 500
+
+
+def test_recognizer_table_sizes():
+    assert isinstance(reg_lat(), cfg.TableDfa)
+    assert reg_lat() is reg_lat()
+    assert len(reg_lat().delta) == 32
+    want = {PropertyId.OUT: 2, PropertyId.INV: 1, PropertyId.ORIENTED: 1,
+            PropertyId.PROJ_W: 3, PropertyId.ACYC_D: 4, PropertyId.ACYC_U: 2,
+            PropertyId.CONN_W: 4, PropertyId.UNAMB_S: 4}
+    assert {p: len(constraint_dfa(p).delta) for p in ALL_PROPERTIES} == want
+    assert all(constraint_dfa(p) is constraint_dfa(p) for p in ALL_PROPERTIES)
+
+
+def test_tables_agree_with_definitions_off_encodings():
+    # random walks over the definition's live moves, each ending in one
+    # random symbol, are mostly not encodings; the table must accept every
+    # prefix exactly when the definition does
+    syms = alphabet()
+    rng = random.Random(5)
+    for definition, table in [(RegLat(), reg_lat())] + [
+            (ConstraintDfa(p), constraint_dfa(p)) for p in ALL_PROPERTIES]:
+        live: dict = {}  # definition state -> its live moves
+        verdicts = set()
+        for _walk in range(60):
+            q, word = definition.start, []
+            for _step in range(rng.randint(0, 24)):
+                if q not in live:
+                    live[q] = [b for b in syms if definition.step(q, b) is not None]
+                if not live[q]:
+                    break
+                word.append(rng.choice(live[q]))
+                q = definition.step(q, word[-1])
+            word.append(rng.choice(syms))
+            for k in range(len(word) + 1):
+                got = table.accepts(word[:k])
+                assert got == definition.accepts(word[:k]), latent_to_str(word[:k])
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def test_callers_step_only_tables(monkeypatch):
+    # once the component tables exist, scans, preimage counts and a new
+    # family's product table never step the recognizer definitions
+    for p in ALL_PROPERTIES:
+        constraint_dfa(p)
+    reg_lat()
+    calls = {"RegLat": 0, "ConstraintDfa": 0}
+    for cls in (RegLat, ConstraintDfa):
+        def counted(self, q, b, _name=cls.__name__, _step=cls.step):
+            calls[_name] += 1
+            return _step(self, q, b)
+        monkeypatch.setattr(cls, "step", counted)
+    g = make_digraph(5, [(1, 2), (2, 3), (5, 3), (1, 5), (4, 5)])
+    s = latent_encode(g)
+    for p in ALL_PROPERTIES:
+        assert constraint_accepts(p, s) == check_property(g, p)
+    assert preimage_count(encode_digraph(g)) == 1
+    extras = [constraint_dfa(PropertyId.ACYC_D), constraint_dfa(PropertyId.OUT)]
+    assert preimage_count(encode_digraph(g), extra=extras) == 0  # 3 has two in-arcs
+    g = make_digraph(5, [(1, 2), (2, 3), (3, 4), (1, 5)])
+    assert preimage_count(encode_digraph(g), extra=extras) == 1
+    inference.family_automaton.cache_clear()
+    fam = frozenset({PropertyId.UNAMB_S, PropertyId.INV})
+    assert inference.family_automaton(fam).delta
+    assert inference.family_automaton.cache_info().misses == 1
+    assert calls == {"RegLat": 0, "ConstraintDfa": 0}
+    # the counters do see a definition that is stepped
+    RegLat().accepts(s)
+    ConstraintDfa(PropertyId.CONN_W).accepts(s)
+    assert min(calls.values()) > 0
