@@ -52,21 +52,25 @@ class DyckSpec:
         symbols = openers + closers
         if len(set(symbols)) != len(symbols):
             raise ValueError("bracket symbol used twice in Dyck specification")
+        # built once here, not on every dyck_check; not fields, so equality,
+        # hashing and repr still read only the pairs
+        object.__setattr__(self, "_closer_of", dict(self.pairs))
+        object.__setattr__(self, "_closers", frozenset(closers))
 
     def closer_of(self) -> dict:
-        return dict(self.pairs)
+        return dict(self._closer_of)
 
     def symbols(self) -> frozenset:
         return frozenset(s for pair in self.pairs for s in pair)
 
 
 def dyck_check(spec: DyckSpec, s: Sequence) -> bool:
-    closer_of = spec.closer_of()
-    closers = {c for _, c in spec.pairs}
+    closer_of, closers = spec._closer_of.get, spec._closers
     stack: list = []
     for sym in s:
-        if sym in closer_of:
-            stack.append(closer_of[sym])
+        closer = closer_of(sym)
+        if closer is not None:
+            stack.append(closer)
         elif sym in closers:
             if not stack or stack.pop() != sym:
                 return False
@@ -189,7 +193,8 @@ class TableDfa(Dfa):
         return cls(symbols, tuple(delta), tuple(final[q] for q in reps))
 
     def step(self, q, sym):
-        q2 = self.delta[q][self.index[sym]] if sym in self.index else -1
+        a = self.index.get(sym)
+        q2 = -1 if a is None else self.delta[q][a]
         return None if q2 < 0 else q2
 
     def is_final(self, q) -> bool:

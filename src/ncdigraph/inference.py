@@ -20,9 +20,14 @@ the reduced chart, and it stores each kept cell as one group: the join of
 its (left, right) operand pairs.  A bracket pair enters as a pair cell per
 (orientation, u, v), which the algebra fills when a replay starts, so pair
 values, P(a, b) and S cells all have the one group shape and a replay is
-one loop over the groups.  That one program serves counting (a replay with
-integer counts), max-weight parsing (a replay with integer max-plus keys)
-and grammar materialization (its groups read as productions).
+one loop over the groups.  Many cells differ only in their state labels and
+join the same operands, so every algebra gives them one value; the program
+that is cached and replayed is the hash-consed reduced chart, in which such
+cells are one cell (maximal sharing), and all empty cells are one identity
+cell.  That one program serves counting (a replay with integer counts) and
+max-weight parsing (a replay with integer max-plus keys).  Grammar
+materialization reads the unshared reduced program, whose groups are the
+productions.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -40,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, ProductDfa, TableDfa
@@ -181,8 +186,8 @@ class _Intersection:
           the ends of the cell (a pair cell has the orientation and (u, v)
           instead), and openers[c] lists for a P(a, b) cell the opener of
           each of its pairs, None for a boundary pair.  Only grammar
-          materialization reads them, so the program is cached without
-          them.
+          materialization reads them and this program, so what is cached
+          is the shared program alone (`_share`), without them.
 
         Each node heads one row of S cells, by its state: a node right
         after an opener starts pair insides, every other node sequences.
@@ -291,21 +296,24 @@ class _Intersection:
                    tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
                          for dst, (lefts, rights) in groups.items() if needed[dst]),
                    tuple((qf, at(c)) for qf, c in finals))
-        self._prog = program
+        if self._prog is None:
+            self._prog = _share(program)
         return program, keys, {at(f): ops for f, ops in openers.items() if needed[f]}
 
     def _program(self):
-        """The cached program; the cell keys and openers are not kept."""
+        """The cached replay program: the hash-consed reduced chart.  The
+        unshared program, its cell keys and openers are not kept."""
         if self._prog is None:
             self._compile()
         return self._prog
 
-    def replay(self, algebra) -> list:
-        """Values of every cell under `algebra`, by replaying the program
-        without touching the automaton again: one join per group.  concat
-        distributes over joinall, so joining the pairs of one P(a, b)
-        before they meet their continuations keeps every value exact."""
-        ncells, empty_cells, pair_cells, groups, _finals = self._program()
+    def replay(self, algebra, program=None) -> list:
+        """Values of every cell of `program` (by default the cached shared
+        one) under `algebra`, by replaying it without touching the
+        automaton again: one join per group.  concat distributes over
+        joinall, so joining the pairs of one P(a, b) before they meet their
+        continuations keeps every value exact."""
+        ncells, empty_cells, pair_cells, groups, _finals = program or self._program()
         cells = [algebra.zero] * ncells
         empty = algebra.empty()
         for c in empty_cells:
@@ -321,6 +329,59 @@ class _Intersection:
         """Aggregated values over the whole language, keyed by final state."""
         cells = self.replay(algebra)
         return {qf: cells[c] for qf, c in self._program()[4]}
+
+
+def _share(program):
+    """The hash-consed form of a reduced program: each set of cells that
+    every algebra gives one value becomes one cell.  All empty cells (S(a, a)
+    and the boundary pairs) are one identity cell; pair cells stay one per
+    (orientation, u, v).  Taken in program order, a group's operands are
+    mapped to their shared cells and its terms sorted into a tuple, kept as
+    a multiset so that counts stay exact.  A group whose one term has the
+    identity on a side is the cell on the other side, and a group whose
+    term tuple was seen before is the cell that tuple made.  The cells no
+    final reads any more are then dropped, as in the compiler."""
+    ncells, empty_cells, pair_cells, groups, finals = program
+    canon = [-1] * ncells
+    for c in empty_cells:
+        canon[c] = 0
+    made = {}  # term tuple -> shared cell
+    shared = []  # (shared cell, lefts, rights), in program order
+    for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
+        canon[c] = i
+    at = canon.__getitem__
+    for dst, lefts, rights in groups:
+        terms = tuple(sorted(zip(map(at, lefts), map(at, rights))))
+        if len(terms) == 1 and 0 in terms[0]:
+            left, right = terms[0]
+            canon[dst] = right if left == 0 else left
+            continue
+        c = made.get(terms)
+        if c is None:
+            c = made[terms] = len(pair_cells) + 1 + len(shared)
+            shared.append((c, *zip(*terms)))
+        canon[dst] = c
+    finals = [(qf, at(c)) for qf, c in finals]
+
+    # shared cells are numbered in program order, so one backward pass
+    # marks all that some final reads, and renumbering keeps terms sorted
+    needed = bytearray(len(pair_cells) + 1 + len(shared))
+    for _qf, c in finals:
+        needed[c] = 1
+    for dst, lefts, rights in reversed(shared):
+        if needed[dst]:
+            for c in lefts:
+                needed[c] = 1
+            for c in rights:
+                needed[c] = 1
+    at = list(accumulate(needed, initial=0)).__getitem__
+    return (sum(needed),
+            (0,) if needed[0] else (),
+            tuple((at(i), *pair[1:]) for i, pair in enumerate(pair_cells, 1)
+                  if needed[i]),
+            tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
+                  for dst, lefts, rights in shared if needed[dst]),
+            tuple((qf, at(c)) for qf, c in finals))
 
 
 class _CountAlgebra:
@@ -432,16 +493,17 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     Nonterminals are ("S"|"P", (u, q), (v, q')): a vertex span u..v and
     the family table's states at its ends; terminals are latent brackets.
-    The productions are read off the compiled program: a join into an S
-    cell gives S → P S, a pair gives P → { }, P → opener S closer or, when
-    its inside is a boundary pair, P → opener { } closer, a span-0 cell
-    gives S → ε and a final gives S0 → S.  The joins, pairs and finals that
-    count 0 under the lexicon are left out, and so is every nonterminal
-    only they reach.
+    The productions are read off the unshared reduced program, whose cells
+    keep their state labels: a join into an S cell gives S → P S, a pair
+    gives P → { }, P → opener S closer or, when its inside is a boundary
+    pair, P → opener { } closer, a span-0 cell gives S → ε and a final
+    gives S0 → S.  The joins, pairs and finals that count 0 under the
+    lexicon are left out, and so is every nonterminal only they reach.
     """
     inter = _intersection(n, req, lex)
-    (_ncells, empty_cells, _pairs, groups, finals), cell_keys, openers = inter._compile()
-    cells = inter.replay(_CountAlgebra(lex))
+    program, cell_keys, openers = inter._compile()
+    _ncells, empty_cells, _pairs, groups, finals = program
+    cells = inter.replay(_CountAlgebra(lex), program)
 
     def nt(c):
         kind, a, b = cell_keys[c]

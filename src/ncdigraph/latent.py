@@ -46,6 +46,20 @@ class LatentBracket:
     primed: bool = False
     cover: Optional[str] = None  # None | "cyc" | "cyc2"
 
+    # Brackets key the recognizer tables and the Dyck map, so each one's
+    # hash is computed once.  It is not a field: equality and repr still
+    # read the four fields, and a pickle rebuilds it from them, since
+    # string hashes differ between processes.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.chain,
+                                                self.primed, self.cover)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return LatentBracket, (self.base, self.chain, self.primed, self.cover)
+
     @property
     def is_boundary(self) -> bool:
         return self.base in "{}"

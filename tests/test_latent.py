@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 from ncdigraph import cfg, inference
 from ncdigraph.chains import (BACKWARD, BIDIRECTIONAL, FORWARD, LOOSE, ONE,
@@ -86,6 +90,28 @@ def test_latent_round_trip_tokens():
         for g in enumerate_noncrossing_digraphs(n):
             s = latent_encode(g)
             assert parse_latent(latent_to_str(s)) == s
+
+
+def test_bracket_hash_survives_pickling_across_processes():
+    # a bracket caches its hash, so a pickle must not carry that hash into
+    # a process whose string hashes differ, or every lookup there would miss
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    dump = ("import pickle, sys\n"
+            "from ncdigraph.latent import alphabet\n"
+            "sys.stdout.buffer.write(pickle.dumps(alphabet()))\n")
+    load = ("import pickle, sys\n"
+            "from ncdigraph.latent import alphabet, reg_lat\n"
+            "brackets = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert set(brackets) == set(alphabet())\n"
+            "assert all(b in reg_lat().index for b in brackets)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    dumped = subprocess.run([sys.executable, "-c", dump], capture_output=True,
+                            env=dict(env, PYTHONHASHSEED="0"), timeout=120)
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = subprocess.run([sys.executable, "-c", load], input=dumped.stdout,
+                            capture_output=True,
+                            env=dict(env, PYTHONHASHSEED="1"), timeout=120)
+    assert loaded.returncode == 0, loaded.stderr.decode()
 
 
 def test_reg_lat_rejects_garbage():
