@@ -35,14 +35,22 @@ def _data_lines(text: str) -> list:
     return out
 
 
+def _vertex_count(lines: list, kind: str) -> int:
+    """The n of the first line, which must be exactly ``n <count>``."""
+    if not lines or not lines[0].startswith("n "):
+        raise FormatError(f"{kind} file must start with 'n <count>'")
+    parts = lines[0].split()
+    if len(parts) != 2:
+        raise FormatError(f"malformed vertex count line: {lines[0]!r}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise FormatError(f"malformed vertex count line: {lines[0]!r}") from None
+
+
 def parse_digraph(text: str, allow_loops: bool = True) -> Digraph:
     lines = _data_lines(text)
-    if not lines or not lines[0].startswith("n "):
-        raise FormatError("digraph file must start with 'n <count>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise FormatError("malformed vertex count line")
+    n = _vertex_count(lines, "digraph")
     arcs = []
     for line in lines[1:]:
         parts = line.split()
@@ -74,9 +82,7 @@ def format_graph(g: Graph) -> str:
 def parse_weights(text: str):
     from .inference import WeightMatrix
     lines = _data_lines(text)
-    if not lines or not lines[0].startswith("n "):
-        raise FormatError("weight file must start with 'n <count>'")
-    n = int(lines[0].split()[1])
+    n = _vertex_count(lines, "weight")
     weights = {}
     for line in lines[1:]:
         parts = line.split()

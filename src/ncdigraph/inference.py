@@ -25,7 +25,11 @@ join the same operands, so every algebra gives them one value; the program
 that is cached and replayed is the hash-consed reduced chart, in which such
 cells are one cell (maximal sharing), and all empty cells are one identity
 cell.  That one program serves counting (a replay with integer counts) and
-max-weight parsing (a replay with integer max-plus keys).  Grammar
+max-weight parsing (a replay with integer max-plus keys).  A replay sets
+each group's cell with one call to the algebra's join kernel for the
+group's term count, a function that writes the k products and their join
+out as one expression; it is generated and compiled the first time a
+group of k terms is replayed, and cached per algebra.  Grammar
 materialization reads the unshared reduced program, whose groups are the
 productions.
 The lexicon is not compiled in: whether a pair is allowed depends only on
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -296,22 +299,22 @@ class _Intersection:
                    tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
                          for dst, (lefts, rights) in groups.items() if needed[dst]),
                    tuple((qf, at(c)) for qf, c in finals))
-        if self._prog is None:
-            self._prog = _share(program)
         return program, keys, {at(f): ops for f, ops in openers.items() if needed[f]}
 
     def _program(self):
         """The cached replay program: the hash-consed reduced chart.  The
-        unshared program, its cell keys and openers are not kept."""
+        unshared program, its cell keys and openers are freed before it is
+        shared."""
         if self._prog is None:
-            self._compile()
+            self._prog = _share(self._compile()[0])
         return self._prog
 
     def replay(self, algebra, program=None) -> list:
         """Values of every cell of `program` (by default the cached shared
         one) under `algebra`, by replaying it without touching the
-        automaton again: one join per group.  concat distributes over
-        joinall, so joining the pairs of one P(a, b) before they meet their
+        automaton again: one kernel call per group, the algebra's unrolled
+        join for the group's term count.  The product distributes over the
+        join, so joining the pairs of one P(a, b) before they meet their
         continuations keeps every value exact."""
         ncells, empty_cells, pair_cells, groups, _finals = program or self._program()
         cells = [algebra.zero] * ncells
@@ -320,9 +323,9 @@ class _Intersection:
             cells[c] = empty
         for c, o, u, v in pair_cells:
             cells[c] = algebra.pair(o, u, v)
-        get, concat, joinall = cells.__getitem__, algebra.concat, algebra.joinall
+        kernels = algebra.kernels
         for dst, lefts, rights in groups:
-            cells[dst] = joinall(map(concat, map(get, lefts), map(get, rights)))
+            cells[dst] = kernels[len(lefts)](cells, lefts, rights)
         return cells
 
     def totals(self, algebra) -> dict:
@@ -384,11 +387,57 @@ def _share(program):
             tuple((qf, at(c)) for qf, c in finals))
 
 
+# the two templates every kernel's source is made from, given only its term
+# count k: the function, and the product of one term's two operands
+_KERNEL = "def kernel(c, L, R):\n    {lefts}, = L\n    {rights}, = R\n    return {join}\n"
+_TERM = "c[l{i}] {times} c[r{i}]"
+
+
+class _Kernels(dict):
+    """Unrolled join kernels by term count: self[k](c, L, R) is the join
+    over i < k of c[L[i]] ⊗ c[R[i]], written out as one expression, so a
+    group costs one call and no iterator.  A kernel is generated, compiled
+    and cached on the first group of its size.  A subclass gives the
+    product operator `times` and `join(terms)`, the expression that joins
+    the source of k terms."""
+
+    def __missing__(self, k: int):
+        terms = [_TERM.format(i=i, times=self.times) for i in range(k)]
+        source = _KERNEL.format(lefts=", ".join(f"l{i}" for i in range(k)),
+                                rights=", ".join(f"r{i}" for i in range(k)),
+                                join=self.join(terms))
+        scope: dict = {}
+        exec(compile(source, f"<{type(self).__name__}[{k}]>", "exec"), scope)
+        kernel = self[k] = scope["kernel"]
+        return kernel
+
+
+class _SumKernels(_Kernels):
+    """Sums of products, as a balanced tree of + whose depth is O(log k):
+    a chained sum of some thousand terms nests too deep to compile."""
+
+    times = "*"
+
+    def join(self, terms: list) -> str:
+        if len(terms) == 1:
+            return terms[0]
+        mid = len(terms) // 2
+        return f"({self.join(terms[:mid])} + {self.join(terms[mid:])})"
+
+
+class _MaxKernels(_Kernels):
+    """Maxima of sums."""
+
+    times = "+"
+
+    def join(self, terms: list) -> str:
+        return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
+
+
 class _CountAlgebra:
     """Derivation counts; a pair the lexicon forbids counts 0."""
 
-    concat = operator.mul
-    joinall = sum
+    kernels = _SumKernels()
     zero = 0
 
     def __init__(self, lex: Optional[LexicalConstraint] = None):
@@ -414,7 +463,7 @@ class _MaxAlgebra:
     weight, then fewer arcs, then the larger mask.  Of two arc sets of one
     size, the lexicographically smaller sorted list is the one holding the
     smallest arc of their symmetric difference, which is the one with the
-    larger mask.  The two parts of a concat have disjoint arcs, so adding
+    larger mask.  The two operands of a term have disjoint arcs, so adding
     their keys unions their masks.
 
     A pair the lexicon forbids gets the key −(W_total+2)·M1, where W_total
@@ -424,8 +473,7 @@ class _MaxAlgebra:
     it lies below −M1: then the lexicon leaves no member of the family.
     """
 
-    concat = operator.add
-    joinall = max
+    kernels = _MaxKernels()
     zero = -math.inf
 
     def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):

@@ -169,6 +169,20 @@ def test_parse_weights_bad_entry_exit_1(tmp_path, capsys):
         assert err.startswith("error:") and why in err
 
 
+def test_vertex_count_line_with_extra_tokens_exit_1(tmp_path, capsys):
+    # the first line is exactly "n <count>": a weight file or a digraph file
+    # with more on it is rejected, not read as n
+    f = tmp_path / "in.txt"
+    for command, text in (("parse", "n 3 junk\n1 2 5\n"), ("parse", "n 3 4\n"),
+                          ("classify", "n 3 9\n1 2\n"), ("classify", "n 3 #\n")):
+        f.write_text(text)
+        argv = ("parse", "--weights", str(f)) if command == "parse" else (command, str(f))
+        status, out, err = invoke(capsys, *argv)
+        assert status == 1, text
+        assert out == ""
+        assert err.startswith("error: malformed vertex count line") and text.split("\n")[0] in err
+
+
 def test_parse_weights_repeated_line_exit_1(tmp_path, capsys):
     f = tmp_path / "w.txt"
     f.write_text("n 3\n1 2 3\n2 3 1\n1 2 5\n")

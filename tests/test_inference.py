@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -60,17 +61,19 @@ def test_tree_family_counts_match_closed_forms():
         assert count_family_strings(n, parse_property_set("out-tree")) == n * t
 
 
-def _weighted_nc_graph_counts(max_n):
-    """Σ over noncrossing graphs on 1..n of 3^edges, by an interval
+def _weighted_nc_graph_counts(max_n, y=3):
+    """Σ over noncrossing graphs on 1..n of y^edges, by an interval
     recurrence on m = j - i + 1 points: vertex i is isolated, or its
     farthest neighbour k splits i..j into the inside of the edge (i, k) and
     the interval k..j.  The outer edge (i, k) crosses nothing on i..k, so
-    the graphs on i..k without it are a quarter of all graphs on i..k:
-    f(m) = f(m-1) + Σ_{2≤l≤m} 3 (f(l)/4) f(m-l+1), which solved for f(m)
-    gives f(m) = 4 f(m-1) + 3 Σ_{2≤l<m} f(l) f(m-l+1)."""
+    the graphs on i..k without it are 1/(1+y) of all graphs on i..k:
+    f(m) = f(m-1) + Σ_{2≤l≤m} y (f(l)/(1+y)) f(m-l+1), which solved for
+    f(m) gives f(m) = (1+y) f(m-1) + y Σ_{2≤l<m} f(l) f(m-l+1).  An edge
+    of a digraph is one of 3 arc sets (forward, backward or both), and of
+    an oriented digraph one of 2."""
     f = [0, 1]
     for m in range(2, max_n + 1):
-        f.append(4 * f[m - 1] + 3 * sum(f[l] * f[m - l + 1] for l in range(2, m)))
+        f.append((1 + y) * f[m - 1] + y * sum(f[l] * f[m - l + 1] for l in range(2, m)))
     return f
 
 
@@ -79,6 +82,86 @@ def test_unrestricted_count_matches_interval_recurrence():
     assert f[1:6] == [1, 4, 64, 1792, 62464]
     for n in range(1, 11):
         assert count_family_strings(n) == f[n]
+
+
+# Series of Flajolet & Noy (1999), in exact integers, as count oracles past
+# enumeration.  A series is the list of its coefficients of z^0..z^max_n; a
+# structure on n vertices 1..n counts at z^n.  The families that still have
+# no oracle past n ≤ 6 are UNAMB_S, ACYC_D, PROJ_W, INV and OUT alone.
+
+def _times(a, b):
+    """Product of two series, cut at the length of a."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _connected_counts(max_n, y):
+    """Connected graphs, weighted by y^edges.  Vertex 1's component has k
+    vertices, and each of the k gaps after them holds any graph, which no
+    edge of another gap or of the component crosses: G(z) = 1 + C(z G(z)),
+    solved for C one coefficient at a time.  (z G)^k starts at z^k with
+    coefficient 1, so c_k is g_k less the z^k coefficient of the terms
+    with j < k."""
+    g = [1] + _weighted_nc_graph_counts(max_n, y)[1:]
+    zg, power, known = [0] + g[:max_n], [1] + [0] * max_n, [0] * (max_n + 1)
+    c = [0] * (max_n + 1)
+    for k in range(1, max_n + 1):
+        power = _times(power, zg)
+        c[k] = g[k] - known[k]
+        known = [x + c[k] * p for x, p in zip(known, power)]
+    return c
+
+
+def _forest_counts(max_n, tree_weight):
+    """Forests whose k-vertex trees weigh tree_weight(k) · t_k each, t_k the
+    noncrossing trees on k points: F(z) = 1 + T(z F(z)) with T the tree
+    series, in the gaps after a tree's vertices as for connected graphs.
+    f_n reads f_0..f_{n-1} only, so the coefficients come in order."""
+    t = [0] + [_nc_tree_count(k) * tree_weight(k) for k in range(1, max_n + 1)]
+    f = [1] + [0] * max_n
+    for n in range(1, max_n + 1):
+        zf, power = [0] + f[:n], [1] + [0] * n
+        for k in range(1, n + 1):
+            power = _times(power, zf)
+            f[n] += t[k] * power[n]
+    return f
+
+
+def _series_counts(max_n):
+    """Count oracles for eight families: graphs with y = 3 (digraphs) or
+    y = 2 (oriented), connected graphs, forests (y^{k−1} per tree of k
+    vertices) and out-forests: a tree with a root, its arcs pointing away
+    from it (k ways), or a tree with one pair both ways and every other arc
+    away from it (k − 1 more ways)."""
+    P = PropertyId
+    return {
+        frozenset(): _weighted_nc_graph_counts(max_n, 3),
+        frozenset({P.ORIENTED}): _weighted_nc_graph_counts(max_n, 2),
+        frozenset({P.CONN_W}): _connected_counts(max_n, 3),
+        frozenset({P.ORIENTED, P.CONN_W}): _connected_counts(max_n, 2),
+        frozenset({P.ACYC_U}): _forest_counts(max_n, lambda k: 3 ** (k - 1)),
+        frozenset({P.ORIENTED, P.ACYC_U}): _forest_counts(max_n, lambda k: 2 ** (k - 1)),
+        frozenset({P.OUT, P.ACYC_U}): _forest_counts(max_n, lambda k: 2 * k - 1),
+        frozenset({P.OUT, P.ACYC_U, P.ORIENTED}): _forest_counts(max_n, lambda k: k),
+    }
+
+
+def test_series_counts_match_enumeration():
+    # the series agree with the brute-force oracle, which knows no chart
+    from ncdigraph.inference import _family_members
+
+    for fam, f in _series_counts(5).items():
+        assert f[1:] == [len(_family_members(n, fam)[0]) for n in range(1, 6)], sorted(fam)
+
+
+def test_family_counts_match_series_past_n_10():
+    for fam, f in _series_counts(12).items():
+        for n in (11, 12):
+            assert count_family_strings(n, fam) == f[n], (sorted(fam), n)
 
 
 def test_family_automaton_minimal_state_counts():
@@ -298,6 +381,37 @@ def test_shared_program_keeps_repeated_terms():
     assert shared == (3, (0,), ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)),), ((0, 2),))
     replay = _Intersection(2).replay
     assert replay(_CountAlgebra(), shared)[2] == replay(_CountAlgebra(), unshared)[3] == 2
+
+
+def test_join_kernels_replay_long_and_single_groups():
+    # a hand-made program: one identity cell, the pair cells of n = 6, a
+    # ladder of groups j joining j identity terms, then a group of 5,000
+    # random terms over all of them and a group of one term; each group's
+    # value is the join computed here, under both algebras, and a kernel is
+    # compiled once per term count and shared by the algebra's instances
+    from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
+    from ncdigraph.inference import _CountAlgebra, _Intersection, _MaxAlgebra
+
+    n, rng = 6, random.Random(59)
+    pairs = tuple((1 + i, o, u, v) for i, (o, u, v) in enumerate(
+        (o, u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        for o in (FORWARD, BACKWARD, BIDIRECTIONAL)))
+    ncells = 1 + len(pairs)
+    groups = [(ncells + j - 1, (0,) * j, (0,) * j) for j in range(1, 9)]
+    ncells += len(groups)
+    groups.append((ncells, tuple(rng.randrange(ncells) for _ in range(5000)),
+                   tuple(rng.randrange(ncells) for _ in range(5000))))
+    groups.append((ncells + 1, (ncells,), (rng.randrange(ncells),)))
+    program = (ncells + 2, (0,), pairs, tuple(groups), ((0, ncells + 1),))
+    lex = _random_lexicon(rng, n)
+    for alg, times, join in ((_CountAlgebra(lex), operator.mul, sum),
+                             (_MaxAlgebra(random_weights(rng, n), lex), operator.add, max)):
+        want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
+        for _dst, lefts, rights in groups:
+            want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
+        assert _Intersection(n).replay(alg, program) == want
+        assert alg.kernels[5000] is alg.kernels[5000] is type(alg).kernels[5000]
+        assert alg.kernels[1] is alg.kernels[1]
 
 
 def test_shared_program_sizes():
