@@ -48,6 +48,14 @@ def _vertex_count(lines: list, kind: str) -> int:
         raise FormatError(f"malformed vertex count line: {lines[0]!r}") from None
 
 
+def _vertices(words: list, line: str, kind: str) -> tuple:
+    """The vertex numbers `words` of a data line of a `kind` file."""
+    try:
+        return tuple(map(int, words))
+    except ValueError:
+        raise FormatError(f"malformed {kind} line: {line!r}") from None
+
+
 def parse_digraph(text: str, allow_loops: bool = True) -> Digraph:
     lines = _data_lines(text)
     n = _vertex_count(lines, "digraph")
@@ -55,8 +63,8 @@ def parse_digraph(text: str, allow_loops: bool = True) -> Digraph:
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(f"malformed arc line: {line!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
+            raise FormatError(f"malformed digraph line: {line!r}")
+        arcs.append(_vertices(parts, line, "digraph"))
     try:
         return make_digraph(n, arcs, allow_loops=allow_loops)
     except ValueError as exc:
@@ -88,7 +96,7 @@ def parse_weights(text: str):
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed weight line: {line!r}")
-        arc = int(parts[0]), int(parts[1])
+        arc = _vertices(parts[:2], line, "weight")
         if arc in weights:
             raise FormatError(f"repeated weight line: {line!r}")
         if not _DECIMAL.fullmatch(parts[2]):
@@ -102,7 +110,9 @@ def parse_lexicon(text: str):
     flags = {}
     for line in _data_lines(text):
         parts = line.replace(",", " ").split()
-        v = int(parts[0])
+        if not parts:
+            raise FormatError(f"malformed lexicon line: {line!r}")
+        (v,) = _vertices(parts[:1], line, "lexicon")
         chosen = frozenset(parts[1:])
         if not chosen <= LEX_FLAGS:
             raise FormatError(f"unknown lexicon flags in {line!r}")

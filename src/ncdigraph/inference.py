@@ -21,17 +21,18 @@ its (left, right) operand pairs.  A bracket pair enters as a pair cell per
 (orientation, u, v), which the algebra fills when a replay starts, so pair
 values, P(a, b) and S cells all have the one group shape and a replay is
 one loop over the groups.  Many cells differ only in their state labels and
-join the same operands, so every algebra gives them one value; the program
-that is cached and replayed is the hash-consed reduced chart, in which such
-cells are one cell (maximal sharing), and all empty cells are one identity
-cell.  That one program serves counting (a replay with integer counts) and
-max-weight parsing (a replay with integer max-plus keys).  A replay sets
-each group's cell with one call to the algebra's join kernel for the
-group's term count, a function that writes the k products and their join
-out as one expression; it is generated and compiled the first time a
-group of k terms is replayed, and cached per algebra.  Grammar
-materialization reads the unshared reduced program, whose groups are the
-productions.
+join the same operands, so every algebra gives them one value; the same
+compile pass hash-conses the kept cells, so in the program that is cached
+and replayed such cells are one cell (maximal sharing), and all empty cells
+are one identity cell.  That one program serves counting (a replay with
+integer counts) and max-weight parsing (a replay with integer max-plus
+keys).  A replay sets each group's cell with one call to the algebra's join
+kernel for the group's term count, a function that writes the k products
+and their join out as one expression; it is generated and compiled the
+first time a group of k terms is replayed, and cached per algebra.
+Grammar materialization reads the productions off the compiler's labelled
+groups, and each labelled cell's count off its shared cell in one count
+replay.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -48,7 +49,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, ProductDfa, TableDfa
@@ -175,22 +176,25 @@ class _Intersection:
     def _compile(self):
         """The reduced span DP as one program of grouped joins, compiled
         once per (n, family) and independent of weights and lexicon.
-        Returns (program, cell_keys, openers):
+        Returns (program, (cell_keys, shared, groups, openers, finals)):
 
-        - program = (ncells, empty_cells, pair_cells, groups, finals).
-          empty_cells start as the empty fragment; pair_cells lists
-          (cell, orientation, u, v), a cell the algebra fills with the value
-          of a bracket pair of that orientation over vertices u < v.  Every
-          other cell is the destination of one group (dst, lefts, rights):
-          the join over i of cell lefts[i] followed by cell rights[i].  The
-          groups come in span order, so each reads cells already set.
-          finals lists (final state, cell).
-        - cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
+        - program = (ncells, empty_cells, pair_cells, groups, finals), the
+          hash-consed reduced chart that `replay` runs.  empty_cells holds
+          the identity cell 0, the empty fragment, unless nothing reads it;
+          pair_cells lists (cell, orientation, u, v), a cell the algebra
+          fills with the value of a bracket pair of that orientation over
+          vertices u < v.  Every other cell is the destination of one group
+          (dst, lefts, rights): the join over i of cell lefts[i] followed by
+          cell rights[i].  The groups come in span order, so each reads
+          cells already set.  finals lists (final state, cell).
+        - The rest labels the unshared cells for grammar materialization:
+          cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
           the ends of the cell (a pair cell has the orientation and (u, v)
-          instead), and openers[c] lists for a P(a, b) cell the opener of
-          each of its pairs, None for a boundary pair.  Only grammar
-          materialization reads them and this program, so what is cached
-          is the shared program alone (`_share`), without them.
+          instead); groups maps each cell a join writes to its (lefts,
+          rights), in the order written; openers[c] lists for a P(a, b)
+          cell the opener of each of its pairs, None for a boundary pair;
+          finals lists (final state, cell); shared[c] is the program cell
+          of a kept cell c, counting the identity as kept, or -1.
 
         Each node heads one row of S cells, by its state: a node right
         after an opener starts pair insides, every other node sequences.
@@ -203,6 +207,14 @@ class _Intersection:
         writes it, so every cell counts > 0; a backward pass from the
         finals then keeps only the cells some final reads, so the program
         is the reduced chart.
+
+        One pass over the kept groups, in program order, then hash-conses
+        them: all empty cells (S(a, a) and the boundary pairs) are the
+        identity and pair cells are 1..P.  A group's terms are mapped to
+        shared cells and sorted, kept as a multiset so that counts stay
+        exact; a one-term group with the identity on a side is the cell on
+        the other side, and a group whose terms were seen before is the
+        cell they made.
         """
         n, delta = self.n, self.auto.delta
         live = self._live()
@@ -275,10 +287,12 @@ class _Intersection:
             join(s, range(1, s + 1), False)
         whole = rows[n - 1].get((1, self.auto.start), {})
         finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
+        keys = list(cell_ids)
+        del live, rows, p_cells, cell_ids, whole
 
         # every input of a group was written earlier, so one backward pass
         # marks all that some final reads
-        needed = bytearray(len(cell_ids))
+        needed = bytearray(len(keys))
         for _qf, c in finals:
             needed[c] = 1
         for dst, (lefts, rights) in reversed(groups.items()):
@@ -287,34 +301,64 @@ class _Intersection:
                     needed[c] = 1
                 for c in rights:
                     needed[c] = 1
-        keys = [key for key, c in cell_ids.items() if needed[c]]
-        renum = [-1] * len(cell_ids)
-        for i, c in enumerate(c for c in range(len(cell_ids)) if needed[c]):
-            renum[c] = i
-        at = renum.__getitem__
-        program = (len(keys),
-                   tuple(at(c) for c in empty_cells if needed[c]),
-                   tuple((at(c), key[1], *key[2]) for key, c in cell_ids.items()
-                         if key[0] == "pair" and needed[c]),
-                   tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
-                         for dst, (lefts, rights) in groups.items() if needed[dst]),
-                   tuple((qf, at(c)) for qf, c in finals))
-        return program, keys, {at(f): ops for f, ops in openers.items() if needed[f]}
+
+        # hash-cons the kept cells in program order
+        shared = [-1] * len(keys)
+        for c in empty_cells:
+            if needed[c]:
+                shared[c] = 0
+        pair_cells = [(c, key[1], *key[2]) for c, key in enumerate(keys)
+                      if key[0] == "pair" and needed[c]]
+        for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
+            shared[c] = i
+        made: dict = {}  # (lefts, rights) of sorted terms -> shared cell
+        shared_groups = []
+        at = shared.__getitem__
+        for dst, (lefts, rights) in groups.items():
+            if not needed[dst]:
+                continue
+            terms = sorted(zip(map(at, lefts), map(at, rights)))
+            if len(terms) == 1 and 0 in terms[0]:
+                left, right = terms[0]
+                shared[dst] = right if left == 0 else left
+                continue
+            operands = tuple(zip(*terms))
+            c = made.get(operands)
+            if c is None:
+                c = made[operands] = len(pair_cells) + 1 + len(shared_groups)
+                shared_groups.append((c, *operands))
+            shared[dst] = c
+        shared_finals = [(qf, shared[c]) for qf, c in finals]
+
+        # each kept cell is read, so each shared cell but the identity is
+        # read as well; when nothing reads the identity it drops out, and
+        # the cells after it move down one
+        if (any(c == 0 for _qf, c in shared_finals)
+                or any(0 in lefts or 0 in rights for _c, lefts, rights in shared_groups)):
+            empty, down = (0,), 0
+        else:
+            empty, down = (), 1
+            shared_groups = [(c - 1, tuple(x - 1 for x in lefts), tuple(x - 1 for x in rights))
+                             for c, lefts, rights in shared_groups]
+        program = (len(pair_cells) + 1 + len(shared_groups) - down, empty,
+                   tuple((i - down, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
+                   tuple(shared_groups),
+                   tuple((qf, c - down) for qf, c in shared_finals))
+        return program, (keys, shared, groups, openers, finals)
 
     def _program(self):
-        """The cached replay program: the hash-consed reduced chart.  The
-        unshared program, its cell keys and openers are freed before it is
-        shared."""
+        """The cached replay program, without the labels `_compile` returns
+        with it."""
         if self._prog is None:
-            self._prog = _share(self._compile()[0])
+            self._prog = self._compile()[0]
         return self._prog
 
     def replay(self, algebra, program=None) -> list:
-        """Values of every cell of `program` (by default the cached shared
-        one) under `algebra`, by replaying it without touching the
-        automaton again: one kernel call per group, the algebra's unrolled
-        join for the group's term count.  The product distributes over the
-        join, so joining the pairs of one P(a, b) before they meet their
+        """Values of every cell of `program` (by default the cached one)
+        under `algebra`, by replaying it without touching the automaton
+        again: one kernel call per group, the algebra's unrolled join for
+        the group's term count.  The product distributes over the join, so
+        joining the pairs of one P(a, b) before they meet their
         continuations keeps every value exact."""
         ncells, empty_cells, pair_cells, groups, _finals = program or self._program()
         cells = [algebra.zero] * ncells
@@ -332,59 +376,6 @@ class _Intersection:
         """Aggregated values over the whole language, keyed by final state."""
         cells = self.replay(algebra)
         return {qf: cells[c] for qf, c in self._program()[4]}
-
-
-def _share(program):
-    """The hash-consed form of a reduced program: each set of cells that
-    every algebra gives one value becomes one cell.  All empty cells (S(a, a)
-    and the boundary pairs) are one identity cell; pair cells stay one per
-    (orientation, u, v).  Taken in program order, a group's operands are
-    mapped to their shared cells and its terms sorted into a tuple, kept as
-    a multiset so that counts stay exact.  A group whose one term has the
-    identity on a side is the cell on the other side, and a group whose
-    term tuple was seen before is the cell that tuple made.  The cells no
-    final reads any more are then dropped, as in the compiler."""
-    ncells, empty_cells, pair_cells, groups, finals = program
-    canon = [-1] * ncells
-    for c in empty_cells:
-        canon[c] = 0
-    made = {}  # term tuple -> shared cell
-    shared = []  # (shared cell, lefts, rights), in program order
-    for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
-        canon[c] = i
-    at = canon.__getitem__
-    for dst, lefts, rights in groups:
-        terms = tuple(sorted(zip(map(at, lefts), map(at, rights))))
-        if len(terms) == 1 and 0 in terms[0]:
-            left, right = terms[0]
-            canon[dst] = right if left == 0 else left
-            continue
-        c = made.get(terms)
-        if c is None:
-            c = made[terms] = len(pair_cells) + 1 + len(shared)
-            shared.append((c, *zip(*terms)))
-        canon[dst] = c
-    finals = [(qf, at(c)) for qf, c in finals]
-
-    # shared cells are numbered in program order, so one backward pass
-    # marks all that some final reads, and renumbering keeps terms sorted
-    needed = bytearray(len(pair_cells) + 1 + len(shared))
-    for _qf, c in finals:
-        needed[c] = 1
-    for dst, lefts, rights in reversed(shared):
-        if needed[dst]:
-            for c in lefts:
-                needed[c] = 1
-            for c in rights:
-                needed[c] = 1
-    at = list(accumulate(needed, initial=0)).__getitem__
-    return (sum(needed),
-            (0,) if needed[0] else (),
-            tuple((at(i), *pair[1:]) for i, pair in enumerate(pair_cells, 1)
-                  if needed[i]),
-            tuple((at(dst), tuple(map(at, lefts)), tuple(map(at, rights)))
-                  for dst, lefts, rights in shared if needed[dst]),
-            tuple((qf, at(c)) for qf, c in finals))
 
 
 # the two templates every kernel's source is made from, given only its term
@@ -541,17 +532,23 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     Nonterminals are ("S"|"P", (u, q), (v, q')): a vertex span u..v and
     the family table's states at its ends; terminals are latent brackets.
-    The productions are read off the unshared reduced program, whose cells
-    keep their state labels: a join into an S cell gives S → P S, a pair
-    gives P → { }, P → opener S closer or, when its inside is a boundary
-    pair, P → opener { } closer, a span-0 cell gives S → ε and a final
-    gives S0 → S.  The joins, pairs and finals that count 0 under the
-    lexicon are left out, and so is every nonterminal only they reach.
+    The productions are read off the compiler's labelled groups, whose
+    cells keep their state labels: a join into an S cell gives S → P S, a
+    pair gives P → { }, P → opener S closer or, when its inside is a
+    boundary pair, P → opener { } closer, a span-0 cell gives S → ε and a
+    final gives S0 → S.  A labelled cell counts what its shared cell counts
+    in one replay of the program.  The joins, pairs and finals that count 0
+    under the lexicon are left out, and so is every nonterminal only they
+    reach.
     """
     inter = _intersection(n, req, lex)
-    program, cell_keys, openers = inter._compile()
-    _ncells, empty_cells, _pairs, groups, finals = program
-    cells = inter.replay(_CountAlgebra(lex), program)
+    program, (cell_keys, shared, groups, openers, finals) = inter._compile()
+    counts = inter.replay(_CountAlgebra(lex), program)
+    if not program[1]:
+        counts.insert(0, 1)  # the identity, which the program drops when no group reads it
+
+    def count(c):
+        return counts[shared[c]]
 
     def nt(c):
         kind, a, b = cell_keys[c]
@@ -559,18 +556,18 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     start = ("S0",)
     productions = set()
-    reached = bytearray(len(cells))
+    reached = bytearray(len(cell_keys))
     for _qf, c in finals:
-        if cells[c]:
+        if count(c):
             reached[c] = 1
             productions.add((start, (nt(c),)))
     # a group reads only earlier cells, so a backward pass reaches them all
-    for dst, lefts, rights in reversed(groups):
+    for dst, (lefts, rights) in reversed(groups.items()):
         if not reached[dst]:
             continue
         pair_openers = openers.get(dst)
         for i, (left, right) in enumerate(zip(lefts, rights)):
-            if not (cells[left] and cells[right]):
+            if not (count(left) and count(right)):
                 continue
             if pair_openers is None:
                 reached[left] = reached[right] = 1
@@ -583,8 +580,8 @@ def build_intersection_grammar(n: int, req: Iterable = (),
                 reached[right] = 1
                 rhs = (o, nt(right), o.partner())
             productions.add((nt(dst), rhs))
-    productions.update((nt(c), ()) for c in empty_cells
-                       if reached[c] and cell_keys[c][0] == "S")
+    productions.update((nt(c), ()) for c, (kind, a, b) in enumerate(cell_keys)
+                       if reached[c] and kind == "S" and a == b)
     if not productions:
         # empty language: the start expands only to an unproductive marker
         productions.add((start, (("DEAD",),)))

@@ -36,7 +36,6 @@ ORIENT_OF_BASE = {"/": FORWARD, ">": FORWARD, "<": BACKWARD, "\\": BACKWARD,
 LOOSE = "."
 
 _COVER_SUFFIX = {COVER_NONE: "", COVER_CYCLE: "*", COVER_TWO_TURN: "^"}
-_SUFFIX_COVER = {v: k for k, v in _COVER_SUFFIX.items()}
 
 
 @dataclass(frozen=True)
@@ -158,30 +157,23 @@ def h_lat(s: Sequence) -> str:
 _TOKEN_RE = re.compile(r"([{}\[\]/><\\])(\.|[A-Za-z]'?)?([*^])?")
 
 
+@lru_cache(maxsize=None)
+def _bracket_of_token() -> dict:
+    return {b.token: b for b in alphabet()}
+
+
 def parse_latent(text: str) -> LatentString:
+    bracket_of = _bracket_of_token()
     out = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ValueError(f"cannot read latent token at ...{text[pos:pos+8]!r}")
-        base, mark, cov = m.group(1), m.group(2), m.group(3)
-        if base in "{}":
-            if mark or cov:
-                raise ValueError("boundary brackets carry no annotation")
-            out.append(LatentBracket(base, None))
-        else:
-            if not mark:
-                raise ValueError(f"edge bracket {base!r} lacks a chain mark")
-            if mark == LOOSE:
-                b = LatentBracket(base, LOOSE, False, _SUFFIX_COVER[cov or ""])
-            else:
-                primed = mark.endswith("'")
-                b = LatentBracket(base, mark.rstrip("'"), primed,
-                                  _SUFFIX_COVER[cov or ""])
-            if not bracket_valid(b):
-                raise ValueError(f"invalid latent bracket {b.token!r}")
-            out.append(b)
+        b = bracket_of.get(m.group())
+        if b is None:
+            raise ValueError(f"invalid latent bracket {m.group()!r}")
+        out.append(b)
         pos = m.end()
     return tuple(out)
 

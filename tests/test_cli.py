@@ -216,6 +216,26 @@ def test_parse_lexicon_vertex_out_of_range_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "7" in err
 
 
+def test_malformed_vertex_number_names_the_line_exit_1(tmp_path, capsys):
+    # a vertex that is not a number, or a lexicon line with no vertex at
+    # all, is a format error naming the file kind and the line
+    w = tmp_path / "w.txt"
+    w.write_text("n 3\n1 2 5\n")
+    f = tmp_path / "in.txt"
+    for kind, text, line in (("weight", "n 3\n1 x 5\n", "1 x 5"),
+                             ("digraph", "n 3\n1 y\n", "1 y"),
+                             ("lexicon", "1x out-left\n", "1x out-left"),
+                             ("lexicon", ",\n", ",")):
+        f.write_text(text)
+        argv = {"weight": ("parse", "--weights", str(f)),
+                "digraph": ("classify", str(f)),
+                "lexicon": ("parse", "--weights", str(w), "--lexicon", str(f))}[kind]
+        status, out, err = invoke(capsys, *argv)
+        assert status == 1, text
+        assert out == ""
+        assert err == f"error: malformed {kind} line: {line!r}\n"
+
+
 def test_malformed_input_exit_1(tmp_path, capsys):
     f = tmp_path / "bad.dg"
     f.write_text("not a digraph\n")

@@ -87,7 +87,7 @@ def test_unrestricted_count_matches_interval_recurrence():
 # Series of Flajolet & Noy (1999), in exact integers, as count oracles past
 # enumeration.  A series is the list of its coefficients of z^0..z^max_n; a
 # structure on n vertices 1..n counts at z^n.  The families that still have
-# no oracle past n ≤ 6 are UNAMB_S, ACYC_D, PROJ_W, INV and OUT alone.
+# no oracle past n ≤ 6 are UNAMB_S, ACYC_D, PROJ_W and OUT alone.
 
 def _times(a, b):
     """Product of two series, cut at the length of a."""
@@ -132,8 +132,9 @@ def _forest_counts(max_n, tree_weight):
 
 
 def _series_counts(max_n):
-    """Count oracles for eight families: graphs with y = 3 (digraphs) or
-    y = 2 (oriented), connected graphs, forests (y^{k−1} per tree of k
+    """Count oracles for eleven families: graphs with y = 3 (digraphs),
+    y = 2 (oriented) or y = 1 (INV: each arc with its reverse, so one arc
+    set per edge), connected graphs, forests (y^{k−1} per tree of k
     vertices) and out-forests: a tree with a root, its arcs pointing away
     from it (k ways), or a tree with one pair both ways and every other arc
     away from it (k − 1 more ways)."""
@@ -147,6 +148,9 @@ def _series_counts(max_n):
         frozenset({P.ORIENTED, P.ACYC_U}): _forest_counts(max_n, lambda k: 2 ** (k - 1)),
         frozenset({P.OUT, P.ACYC_U}): _forest_counts(max_n, lambda k: 2 * k - 1),
         frozenset({P.OUT, P.ACYC_U, P.ORIENTED}): _forest_counts(max_n, lambda k: k),
+        frozenset({P.INV}): _weighted_nc_graph_counts(max_n, 1),
+        frozenset({P.INV, P.CONN_W}): _connected_counts(max_n, 1),
+        frozenset({P.INV, P.ACYC_U}): _forest_counts(max_n, lambda k: 1),
     }
 
 
@@ -278,13 +282,14 @@ _PROGRAM_FAMS = (frozenset(), frozenset({PropertyId.ACYC_D}),
                  frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
 
 
-def _assert_set_once_and_coreachable(program):
-    """Each cell is set once, as an input or by one group, a group reads
-    only cells already set, and a search down from the finals meets every
-    cell."""
+def _assert_set_once_and_coreachable(program, cells=None):
+    """Each cell (by default 0 .. ncells - 1) is set once, as an input or by
+    one group, a group reads only cells already set, and a search down from
+    the finals meets every cell."""
     ncells, empty, pair_cells, groups, finals = program
+    cells = sorted(range(ncells) if cells is None else cells)
     inputs = list(empty) + [c for c, *_kind in pair_cells]
-    assert sorted(inputs + [d for d, _l, _r in groups]) == list(range(ncells))
+    assert sorted(inputs + [d for d, _l, _r in groups]) == cells
     ready = set(inputs)
     for dst, lefts, rights in groups:
         assert ready.issuperset(lefts) and ready.issuperset(rights)
@@ -297,30 +302,64 @@ def _assert_set_once_and_coreachable(program):
             if c not in seen:
                 seen.add(c)
                 todo.append(c)
-    assert seen == set(range(ncells))
+    assert seen == set(cells)
+
+
+def _is_empty_cell(key):
+    kind, a, b = key
+    return kind == "{}" or (kind == "S" and a == b)
+
+
+def _labelled_values(alg, keys, groups):
+    """Reference replay of the compiler's labelled groups, one term at a
+    time: the value of every cell the compiler made, before the trim and
+    the sharing."""
+    times, join = (operator.mul, sum) if alg.zero == 0 else (operator.add, max)
+    values = {}
+    for c, key in enumerate(keys):
+        if key[0] == "pair":
+            values[c] = alg.pair(key[1], *key[2])
+        elif _is_empty_cell(key):
+            values[c] = alg.empty()
+    for dst, (lefts, rights) in groups.items():
+        values[dst] = join(map(times, map(values.get, lefts), map(values.get, rights)))
+    return values
+
+
+def _kept_program(keys, shared, groups, finals):
+    """The labelled groups of the kept cells (those with a shared cell) as
+    a program over their labelled ids, and those ids."""
+    kept = [c for c, s in enumerate(shared) if s >= 0]
+    program = (None, [c for c in kept if _is_empty_cell(keys[c])],
+               [(c,) for c in kept if keys[c][0] == "pair"],
+               [(dst, lefts, rights) for dst, (lefts, rights) in groups.items()
+                if shared[dst] >= 0],
+               finals)
+    return program, kept
 
 
 def test_compiled_program_leaves_no_dead_value():
     # the program is the reduced chart: every cell, pair value and P(a, b)
-    # cell the compiler keeps counts > 0 and is read, through the groups, by
-    # a final
+    # cell the compiler keeps counts > 0 and is read, through the labelled
+    # groups, by a final
     from ncdigraph.inference import _CountAlgebra, _Intersection
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
             inter = _Intersection(n, fam)
-            program, keys, openers = inter._compile()
-            ncells, _empty, _pairs, groups, _finals = program
-            cells = inter.replay(_CountAlgebra(), program)
-            assert len(cells) == len(keys) == ncells
-            assert all(v > 0 for v in cells)
+            _prog, (keys, shared, groups, openers, finals) = inter._compile()
+            labelled, kept = _kept_program(keys, shared, groups, finals)
+            cells = _labelled_values(_CountAlgebra(), keys, groups)
+            assert len(shared) == len(keys) == len(cells)
+            assert all(cells[c] > 0 for c in kept)
             assert all(cells[left] * cells[right] > 0
-                       for _dst, lefts, rights in groups
+                       for _dst, lefts, rights in labelled[3]
                        for left, right in zip(lefts, rights))
-            folds = [c for c, key in enumerate(keys) if key[0] == "P"]
+            folds = [c for c in kept if keys[c][0] == "P"]
             assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
-            assert sorted(openers) == folds
-            _assert_set_once_and_coreachable(program)
+            assert sorted(set(openers) & set(kept)) == folds
+            assert all(keys[f][0] == "P" for f in openers)
+            _assert_set_once_and_coreachable(labelled, kept)
 
 
 _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
@@ -334,26 +373,31 @@ _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
 def test_shared_program_gives_the_unshared_values():
     # the cached replay program is the hash-consed reduced chart: under
     # either algebra, with or without a lexicon, each final has the value
-    # it has in the unshared program that grammar materialization reads
+    # it has in the labelled groups that grammar materialization reads, and
+    # so does every kept cell through its shared id
     from ncdigraph.inference import _CountAlgebra, _Intersection, _MaxAlgebra
 
     rng = random.Random(47)
     for fam, n in _SHARED_CASES:
         inter = _Intersection(n, fam)
-        unshared, _keys, _openers = inter._compile()
-        shared = inter._program()
-        assert [qf for qf, _c in shared[4]] == [qf for qf, _c in unshared[4]]
+        shared_program, (keys, shared, groups, _openers, finals) = inter._compile()
+        program = inter._program()
+        assert shared_program == program
+        assert [qf for qf, _c in program[4]] == [qf for qf, _c in finals]
         for lex in (None, _random_lexicon(rng, n)):
             w = random_weights(rng, n, hi=100)
             for alg in (_CountAlgebra(lex), _MaxAlgebra(w, lex)):
-                want = inter.replay(alg, unshared)
+                want = _labelled_values(alg, keys, groups)
                 got = inter.replay(alg)
-                assert ([got[c] for _qf, c in shared[4]]
-                        == [want[c] for _qf, c in unshared[4]]), (n, sorted(fam), lex)
+                assert ([got[c] for _qf, c in program[4]]
+                        == [want[c] for _qf, c in finals]), (n, sorted(fam), lex)
+                if not program[1]:
+                    got.insert(0, alg.empty())  # the identity no group reads
+                assert all(got[s] == want[c] for c, s in enumerate(shared) if s >= 0)
 
 
 def test_shared_program_is_maximally_shared():
-    # set once, read after set and co-reachable, like the unshared program;
+    # set once, read after set and co-reachable, like the labelled groups;
     # one identity cell, one cell per term multiset, and no group that only
     # renames its one non-identity operand
     from ncdigraph.inference import _Intersection
@@ -369,18 +413,33 @@ def test_shared_program_is_maximally_shared():
         assert not any(len(t) == 1 and set(t[0]) & set(empty) for t in terms)
 
 
-def test_shared_program_keeps_repeated_terms():
+def test_shared_program_keeps_repeated_terms(monkeypatch):
     # two joins that become the same term after sharing are both kept, so a
-    # count replay still counts each derivation
+    # count replay still counts each derivation.  No family table makes
+    # such a chart, so a hand-made one does: two forward openers, each
+    # followed by its own boundary pair and its own closer into one final
+    # state, give P(1, 2) two labelled terms that share to one
+    from ncdigraph import inference
+    from ncdigraph.cfg import TableDfa
     from ncdigraph.chains import FORWARD
-    from ncdigraph.inference import _CountAlgebra, _Intersection, _share
+    from ncdigraph.inference import _CountAlgebra, _Intersection
+    from ncdigraph.latent import BOUNDARY_CLOSE, BOUNDARY_OPEN, alphabet
 
-    # cells 0 and 1 are empty, 2 is a pair and 3 joins it with each of them
-    unshared = (4, (0, 1), ((2, FORWARD, 1, 2),), ((3, (2, 2), (0, 1)),), ((0, 3),))
-    shared = _share(unshared)
-    assert shared == (3, (0,), ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)),), ((0, 2),))
-    replay = _Intersection(2).replay
-    assert replay(_CountAlgebra(), shared)[2] == replay(_CountAlgebra(), unshared)[3] == 2
+    symbols = alphabet()
+    o1, o2 = [b for b in symbols if b.is_opener and b.orientation == FORWARD][:2]
+    moves = {(0, o1): 1, (1, BOUNDARY_OPEN): 2, (2, BOUNDARY_CLOSE): 3, (3, o1.partner()): 4,
+             (0, o2): 5, (5, BOUNDARY_OPEN): 6, (6, BOUNDARY_CLOSE): 7, (7, o2.partner()): 4}
+    table = TableDfa(symbols, tuple(tuple(moves.get((q, b), -1) for b in symbols)
+                                    for q in range(8)),
+                     tuple(q == 4 for q in range(8)))
+    monkeypatch.setattr(inference, "family_automaton", lambda req: table)
+    inter = _Intersection(2)
+    program, (keys, shared, groups, _openers, _finals) = inter._compile()
+    # cell 0 is the identity, 1 the pair and 2 joins it with each boundary pair
+    assert program == (3, (0,), ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)),), ((4, 2),))
+    [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
+    assert len(set(zip(lefts, rights))) == 2
+    assert inter.replay(_CountAlgebra(), program)[2] == 2
 
 
 def test_join_kernels_replay_long_and_single_groups():
@@ -449,15 +508,24 @@ def test_pair_fold_has_the_grammar_shape():
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, cell_keys, _openers = _Intersection(n, fam)._compile()
+            _prog, (keys, shared, _groups, _openers, _finals) = _Intersection(n, fam)._compile()
             g = build_intersection_grammar(n, fam)
             p_lhs = {lhs for lhs, _rhs in g.productions if lhs[0] == "P"}
-            assert len(p_lhs) == sum(key[0] == "P" for key in cell_keys)
-    _prog, cell_keys, _openers = _Intersection(9)._compile()
-    joins = sum(len(lefts) for dst, lefts, _rights in _prog[3]
-                if cell_keys[dst][0] != "P")
+            assert len(p_lhs) == sum(key[0] == "P" and s >= 0 for key, s in zip(keys, shared))
+    _prog, (keys, shared, groups, _openers, _finals) = _Intersection(9)._compile()
+    joins = sum(len(lefts) for dst, (lefts, _rights) in groups.items()
+                if shared[dst] >= 0 and keys[dst][0] != "P")
     # 169,631 before the fold, 25,639 before the trim to the reduced chart
     assert joins == 12_088
+
+
+def test_grammar_sizes_on_the_benchmark_chart_grid():
+    # the benchmark's inference.chart_items and inference.chart_productions:
+    # nonterminals and productions summed over ∅ n = 3..6 and out-tree n = 5
+    grid = [(frozenset(), n) for n in (3, 4, 5, 6)] + [(parse_property_set("out-tree"), 5)]
+    grammars = [build_intersection_grammar(n, fam) for fam, n in grid]
+    assert sum(len(g.nonterminals) for g in grammars) == 2_268
+    assert sum(len(g.productions) for g in grammars) == 6_915
 
 
 def _reduced(g):

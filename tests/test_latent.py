@@ -1,20 +1,24 @@
 import itertools
 import os
 import random
+import string
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from ncdigraph import cfg, inference
-from ncdigraph.chains import (BACKWARD, BIDIRECTIONAL, FORWARD, LOOSE, ONE,
+from ncdigraph.chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE,
+                              COVER_NONE, COVER_TWO_TURN, FORWARD, LOOSE, ONE,
                               ZERO, chain_step)
 from ncdigraph.codec import encode_digraph
 from ncdigraph.digraphs import (ALL_PROPERTIES, PropertyId,
                                 check_property, enumerate_noncrossing_digraphs,
                                 make_digraph)
-from ncdigraph.latent import (ConstraintDfa, RegLat, alphabet,
-                              bracket_classes, constraint_accepts,
+from ncdigraph.latent import (ConstraintDfa, LatentBracket, RegLat, alphabet,
+                              bracket_classes, bracket_valid, constraint_accepts,
                               constraint_dfa, d55, h_lat, latent_encode,
                               latent_to_str, maximal_chains, parse_latent,
                               preimage_count, reg_lat)
@@ -90,6 +94,35 @@ def test_latent_round_trip_tokens():
         for g in enumerate_noncrossing_digraphs(n):
             s = latent_encode(g)
             assert parse_latent(latent_to_str(s)) == s
+
+
+def test_parse_latent_reads_each_token_by_its_parts():
+    # every token the tokenizer can read (a base, an optional chain mark and
+    # an optional cover suffix) is the bracket its parts name when that
+    # bracket is well formed, and an error naming the token otherwise
+    cover_of = {"": COVER_NONE, "*": COVER_CYCLE, "^": COVER_TWO_TURN}
+    letters = string.ascii_letters
+    marks = ["", LOOSE, *letters, *(c + "'" for c in letters)]
+    accepted = 0
+    for base in "{}[]/><\\":
+        for mark in marks:
+            for suffix in cover_of:
+                token = base + mark + suffix
+                if base in "{}":
+                    want = LatentBracket(base, None) if not mark + suffix else None
+                else:
+                    b = LatentBracket(base, mark.rstrip("'") or None,
+                                      mark.endswith("'"), cover_of[suffix])
+                    want = b if bracket_valid(b) else None
+                if want is None:
+                    with pytest.raises(ValueError) as info:
+                        parse_latent(token)
+                    assert repr(token) in str(info.value)
+                else:
+                    assert parse_latent(token) == (want,), token
+                    accepted += 1
+    assert len(marks) * 3 * 8 == 2_544
+    assert accepted == len(alphabet())
 
 
 def test_bracket_hash_survives_pickling_across_processes():
