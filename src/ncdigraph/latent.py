@@ -7,9 +7,13 @@ after this edge, or a loose marker ``.`` when the chain starts right after a
 class recording what the edge covers (see ``chains.cover_class``).  Opener
 and closer of a pair carry identical annotations, so the Dyck check
 transports chain states from left to right.  ``Reg_lat`` validates the
-annotations against their left context; the family constraints of the
-axiomatization are then forbidden-factor scans over adjacent brackets.
-``RegLat`` and ``ConstraintDfa`` define these recognizers; callers step
+annotations against their left context.  Each family constraint of the
+axiomatization is then Table 1 as data: ``FORBIDDEN`` lists, per property,
+factors ``first gap* last`` over the named bracket classes of ``CLASSES``,
+where ``first`` may be the start anchor ``^``, ``last`` the end anchor
+``$``, and an empty gap makes ``first`` and ``last`` adjacent.  A string
+has the property iff it contains none of them.  ``RegLat`` and the one
+generic scanner ``ConstraintDfa`` define these recognizers; callers step
 their cached minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``.
 """
 
@@ -122,6 +126,7 @@ def bracket_valid(b: LatentBracket) -> bool:
     return b.chain in chains.STATE_NAMES
 
 
+@lru_cache(maxsize=None)
 def alphabet() -> tuple:
     """All well-formed latent brackets (the D_55-style inventory)."""
     out = [BOUNDARY_OPEN, BOUNDARY_CLOSE]
@@ -276,168 +281,93 @@ def maximal_chains(g: Digraph) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Bracket classes (Table-1 style pattern vocabulary).
+# Table 1 as data: the bracket classes, and the factors each property forbids.
 
-def in_B(b) -> bool:
-    return b.is_boundary
-
-
-def in_R(b) -> bool:
-    return b.is_closer
+def _tracked(test):
+    """The class of non-loose closers whose chain state st and prime pass
+    test(st, primed)."""
+    return lambda b: b.is_closer and not b.loose and test(b.state, b.primed)
 
 
-def in_R_loose(b) -> bool:
-    return b.base == "}" or (b.is_closer and b.loose)
-
-
-def in_R_nonloose(b) -> bool:
-    return b.is_closer and not b.loose
-
-
-def in_L_slash(b) -> bool:
-    return b.base in "[/"
-
-
-def in_L_less(b) -> bool:
-    return b.base in "[<"
-
-
-def in_R_greater(b) -> bool:
-    return b.base in "]>"
-
-
-def in_R_backslash(b) -> bool:
-    return b.base in "]\\"
-
-
-def in_Sigma_in(b) -> bool:
-    return in_L_less(b) or in_R_greater(b)
-
-
-def in_Sigma_or(b) -> bool:
-    return b.base in "/><\\"
-
-
-def in_Sigma_inv(b) -> bool:
-    return b.base in "[]"
-
-
-def _tracked(b) -> Optional[ChainState]:
-    return b.state if in_R_nonloose(b) else None
-
-
-def in_R_right(b) -> bool:
-    st = _tracked(b)
-    return st is not None and st.fwd
-
-
-def in_R_left(b) -> bool:
-    st = _tracked(b)
-    return st is not None and st.bwd
-
-
-def in_R_vergent(b) -> bool:
-    st = _tracked(b)
-    return (st is not None and not b.primed
-            and st.ambiguous_with_forward_cover
-            and st.ambiguous_with_backward_cover)
-
-
-def in_R_left2(b) -> bool:
-    st = _tracked(b)
-    return (st is not None and st.ambiguous_with_forward_cover
-            and not st.fwd and not st.ambiguous_with_backward_cover)
-
-
-def in_R_right2(b) -> bool:
-    st = _tracked(b)
-    return (st is not None and st.ambiguous_with_backward_cover
-            and not st.bwd and not st.ambiguous_with_forward_cover)
-
-
-CLASS_PREDICATES = {
-    "L_/": in_L_slash,
-    "L_<": in_L_less,
-    "R_>": in_R_greater,
-    "R_\\": in_R_backslash,
-    "B": in_B,
-    "R": in_R,
-    "R_loose": in_R_loose,
-    "R_nonloose": in_R_nonloose,
-    "R_right": in_R_right,
-    "R_left": in_R_left,
-    "R_right2": in_R_right2,
-    "R_left2": in_R_left2,
-    "R_vergent": in_R_vergent,
-    "Sigma_in": in_Sigma_in,
-    "Sigma_or": in_Sigma_or,
-    "Sigma_inv": in_Sigma_inv,
-    "B_bar": lambda b: not in_B(b),
+CLASSES = {
+    "Sigma": lambda b: True,
+    "B": lambda b: b.is_boundary,
+    "B_bar": lambda b: not b.is_boundary,
+    "R": lambda b: b.is_closer,
+    "R_loose": lambda b: b.base == "}" or (b.is_closer and b.loose),
+    "R_nonloose": lambda b: b.is_closer and not b.loose,
+    "L_/": lambda b: b.base in "[/",
+    "L_<": lambda b: b.base in "[<",
+    "R_>": lambda b: b.base in "]>",
+    "R_\\": lambda b: b.base in "]\\",
+    "Sigma_in": lambda b: b.base in "[<]>",
+    "Sigma_or": lambda b: b.base in "/><\\",
+    "Sigma_inv": lambda b: b.base in "[]",
+    "R_right": _tracked(lambda st, primed: st.fwd),
+    "R_left": _tracked(lambda st, primed: st.bwd),
+    "R_vergent": _tracked(lambda st, primed: not primed
+                          and st.ambiguous_with_forward_cover
+                          and st.ambiguous_with_backward_cover),
+    "R_left2": _tracked(lambda st, primed: st.ambiguous_with_forward_cover
+                        and not st.fwd and not st.ambiguous_with_backward_cover),
+    "R_right2": _tracked(lambda st, primed: st.ambiguous_with_backward_cover
+                         and not st.bwd and not st.ambiguous_with_forward_cover),
 }
 
 
 def bracket_classes() -> dict:
     """The named classes as concrete bracket sets over the full inventory."""
-    inv = alphabet()
-    return {name: frozenset(b for b in inv if pred(b))
-            for name, pred in CLASS_PREDICATES.items()}
+    return {name: frozenset(filter(pred, alphabet()))
+            for name, pred in CLASSES.items()}
 
 
-# Forbidden adjacent factors per property: (first class, second class).
-ADJACENT_FORBIDDEN = {
-    PropertyId.ACYC_U: ((in_R_nonloose, in_R),),
-    PropertyId.ACYC_D: ((in_R_right, in_R_backslash), (in_R_left, in_R_greater)),
-    PropertyId.UNAMB_S: ((in_R_right, in_R_greater), (in_R_left, in_R_backslash),
-                         (in_R_vergent, in_R), (in_R_left2, in_R_greater),
-                         (in_R_right2, in_R_backslash)),
-    PropertyId.PROJ_W: ((in_L_slash, in_L_less), (in_R_greater, in_R_backslash)),
-}
+START, END = "^", "$"
 
-# Properties that fail on a single forbidden symbol.
-SYMBOL_FORBIDDEN = {
-    PropertyId.ACYC_D: in_Sigma_inv,
-    PropertyId.INV: in_Sigma_or,
-    PropertyId.ORIENTED: in_Sigma_inv,
+# Per property, the forbidden factors (first, gap, last): a string has the
+# property iff it contains no first gap* last.  first may be START and last
+# END; gap None means first and last are adjacent.
+FORBIDDEN = {
+    PropertyId.OUT: (("Sigma_in", "B_bar", "Sigma_in"),),
+    PropertyId.INV: ((START, "Sigma", "Sigma_or"),),
+    PropertyId.ORIENTED: ((START, "Sigma", "Sigma_inv"),),
+    PropertyId.PROJ_W: (("L_/", None, "L_<"), ("R_>", None, "R_\\")),
+    PropertyId.ACYC_D: ((START, "Sigma", "Sigma_inv"), ("R_right", None, "R_\\"),
+                        ("R_left", None, "R_>")),
+    PropertyId.ACYC_U: (("R_nonloose", None, "R"),),
+    PropertyId.CONN_W: ((START, None, "B"), ("R_loose", None, "B"),
+                        ("R_loose", None, END), ("B", None, END)),
+    PropertyId.UNAMB_S: (("R_right", None, "R_>"), ("R_left", None, "R_\\"),
+                         ("R_vergent", None, "R"), ("R_left2", None, "R_>"),
+                         ("R_right2", None, "R_\\")),
 }
 
 
 class ConstraintDfa(Dfa):
-    """Linear scan for one property over latent brackets."""
+    """Linear scan for one property: it rejects the first forbidden factor
+    first gap* last of FORBIDDEN[prop] that the string completes.  The
+    state holds one bit per factor, armed while the prefix read ends in
+    first gap*, so that a bracket of last would complete it; a START factor
+    is armed before the first bracket, and an END factor rejects the
+    string if it is armed at its end."""
 
     def __init__(self, prop: PropertyId):
-        self.prop = prop
-        self.adjacent = ADJACENT_FORBIDDEN.get(prop, ())
-        self.symbol = SYMBOL_FORBIDDEN.get(prop)
-        self.start = ("start",)
+        self.factors = tuple(
+            (None if first == START else CLASSES[first],
+             CLASSES[gap] if gap else (lambda b: False),
+             None if last == END else CLASSES[last])
+            for first, gap, last in FORBIDDEN[prop])
+        self.start = tuple(first == START for first, _, _ in FORBIDDEN[prop])
 
     def step(self, q, b):
-        if self.symbol is not None and self.symbol(b):
-            return None
-        if self.prop == PropertyId.OUT:
-            seen = 0 if q[0] == "start" else q[1]
-            if in_B(b):
-                return ("run", 0)
-            if in_Sigma_in(b):
-                return None if seen else ("run", 1)
-            return ("run", seen)
-        if self.prop == PropertyId.CONN_W:
-            if in_B(b) and (q[0] == "start" or q[1] == "loose"):
-                return None  # a boundary bracket at the start or after R_loose
-            cls = ("loose" if in_R_loose(b) else
-                   "bound" if in_B(b) else "other")
-            return ("run", cls)
-        # adjacency-pattern properties: the state keeps, per forbidden
-        # factor, whether the previous bracket is in its first class
-        if q[0] != "start":
-            for hit, (_first, second) in zip(q[1], self.adjacent):
-                if hit and second(b):
-                    return None
-        return ("run", tuple(first(b) for first, _ in self.adjacent))
+        for armed, (_first, _gap, last) in zip(q, self.factors):
+            if armed and last is not None and last(b):
+                return None
+        return tuple((first is not None and first(b)) or (armed and gap(b))
+                     for armed, (first, gap, _last) in zip(q, self.factors))
 
     def is_final(self, q) -> bool:
-        if self.prop == PropertyId.CONN_W:
-            return q[0] == "start" or q[1] == "other"
-        return True
+        return not any(armed and last is None
+                       for armed, (_first, _gap, last) in zip(q, self.factors))
 
 
 @lru_cache(maxsize=None)
@@ -447,8 +377,9 @@ def constraint_dfa(prop: PropertyId) -> TableDfa:
 
 
 def constraint_accepts(prop: PropertyId, s: Sequence) -> bool:
-    """Table-1 constraint language for prop, as a linear scan.  The string is
-    assumed to lie in D_55 ∩ Reg_lat."""
+    """Whether s avoids every factor first gap* last that Table 1 forbids
+    for prop, anchors included, by a scan of its cached table.  The string
+    is assumed to lie in D_55 ∩ Reg_lat."""
     return constraint_dfa(prop).accepts(s)
 
 

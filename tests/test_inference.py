@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,7 +88,8 @@ def test_unrestricted_count_matches_interval_recurrence():
 # Series of Flajolet & Noy (1999), in exact integers, as count oracles past
 # enumeration.  A series is the list of its coefficients of z^0..z^max_n; a
 # structure on n vertices 1..n counts at z^n.  The families that still have
-# no oracle past n ≤ 6 are UNAMB_S, ACYC_D, PROJ_W and OUT alone.
+# no oracle past n ≤ 6 are UNAMB_S, ACYC_D and PROJ_W alone; OUT alone has
+# the interval DP `_out_counts` below.
 
 def _times(a, b):
     """Product of two series, cut at the length of a."""
@@ -166,6 +168,46 @@ def test_family_counts_match_series_past_n_10():
     for fam, f in _series_counts(12).items():
         for n in (11, 12):
             assert count_family_strings(n, fam) == f[n], (sorted(fam), n)
+
+
+def _out_counts(max_n):
+    """Digraphs with in-degree ≤ 1 everywhere (OUT), by the interval DP of
+    `_weighted_nc_graph_counts` on m = j - i + 1 points.  g[m][a, b] counts
+    those on i..j with in-degree a at i and b at j, h[m] those without the
+    edge (i, j); one point counts as (0, 0).  Vertex i is isolated, or its
+    farthest neighbour k splits i..j into i..k, whose edge (i, k) adds 1
+    to the in-degree of i, of k or of both, and the interval k..j.  The two
+    parts' in-degrees at the shared k sum to at most 1."""
+    g, h = [None, Counter({(0, 0): 1})], [None, None]
+    for m in range(2, max_n + 1):
+        h.append(Counter())
+        for (_a, b), x in g[m - 1].items():
+            h[m][0, b] += x
+        g.append(Counter())
+        for l in range(2, m + 1):
+            for (a, c), x in h[l].items():
+                for da, dc in ((1, 0), (0, 1), (1, 1)):
+                    a1, c1 = a + da, c + dc
+                    if a1 > 1 or c1 > 1:
+                        continue
+                    if l == m:
+                        g[m][a1, c1] += x
+                        continue
+                    for (c2, b), y in g[m - l + 1].items():
+                        if c1 + c2 <= 1:
+                            h[m][a1, b] += x * y
+        g[m].update(h[m])
+    return [0] + [sum(gm.values()) for gm in g[1:]]
+
+
+def test_out_counts_match_enumeration_and_chart():
+    from ncdigraph.inference import _family_members
+
+    f = _out_counts(12)
+    out = frozenset({PropertyId.OUT})
+    assert f[1:6] == [len(_family_members(n, out)[0]) for n in range(1, 6)]
+    for n in (11, 12):
+        assert count_family_strings(n, out) == f[n], n
 
 
 def test_family_automaton_minimal_state_counts():

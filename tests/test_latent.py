@@ -17,8 +17,9 @@ from ncdigraph.codec import encode_digraph
 from ncdigraph.digraphs import (ALL_PROPERTIES, PropertyId,
                                 check_property, enumerate_noncrossing_digraphs,
                                 make_digraph)
-from ncdigraph.latent import (ConstraintDfa, LatentBracket, RegLat, alphabet,
-                              bracket_classes, bracket_valid, constraint_accepts,
+from ncdigraph.latent import (END, FORBIDDEN, START, ConstraintDfa,
+                              LatentBracket, RegLat, alphabet, bracket_classes,
+                              bracket_valid, constraint_accepts,
                               constraint_dfa, d55, h_lat, latent_encode,
                               latent_to_str, maximal_chains, parse_latent,
                               preimage_count, reg_lat)
@@ -242,11 +243,42 @@ def test_conjunction_is_intersection_small(digraphs_by_n):
 
 def test_bracket_classes_are_fixed_sets():
     classes = bracket_classes()
+    assert classes["Sigma"] == frozenset(alphabet())
+    assert classes["B_bar"] == classes["Sigma"] - classes["B"]
     assert classes["R"] >= classes["R_>"] - classes["B"]
     assert classes["Sigma_in"] == classes["L_<"] | classes["R_>"]
     assert classes["R_nonloose"] == classes["R"] - classes["R_loose"]
     for b in classes["R_loose"]:
         assert b.base == "}" or b.is_closer
+
+
+def test_forbidden_table_is_table_1():
+    # every class a factor names is a bracket class, and no factor is
+    # redundant: dropping any one changes its property's compiled table
+    classes = bracket_classes()
+    assert set(FORBIDDEN) == set(ALL_PROPERTIES)
+    for p, factors in FORBIDDEN.items():
+        for first, gap, last in factors:
+            assert first == START or first in classes, (p, first)
+            assert gap is None or gap in classes, (p, gap)
+            assert last == END or last in classes, (p, last)
+    for p, factors in FORBIDDEN.items():
+        full = constraint_dfa(p)
+        for k in range(len(factors)):
+            less = factors[:k] + factors[k + 1:]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(FORBIDDEN, p, less)
+                table = cfg.TableDfa.compile(ConstraintDfa(p), alphabet())
+            assert (table.delta, table.final) != (full.delta, full.final), \
+                (p, factors[k])
+
+
+def test_alphabet_is_built_once_and_shared():
+    # one bracket inventory keys every recognizer table
+    assert alphabet() is alphabet()
+    tables = [reg_lat(), inference.family_automaton(frozenset({PropertyId.OUT}))]
+    tables += [constraint_dfa(p) for p in ALL_PROPERTIES]
+    assert all(t.symbols is alphabet() for t in tables)
 
 
 def test_alphabet_size_regression_warning():
