@@ -12,6 +12,7 @@ the last position to the first, for any grammar with finite counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 
@@ -135,20 +136,28 @@ class ProductDfa(Dfa):
         return all(c.is_final(qc) for c, qc in zip(self.components, q))
 
 
+@lru_cache(maxsize=None)
+def _column_index(symbols: tuple) -> dict:
+    """{symbol: column} of a symbol tuple, one dict shared by every table
+    over that tuple."""
+    return {sym: a for a, sym in enumerate(symbols)}
+
+
 class TableDfa(Dfa):
     """Minimal recognizer with integer states over a fixed symbol list.
 
     ``delta[q][a]`` is the successor of state q on ``symbols[a]``, -1 for the
     dead state, and ``final[q]`` flags the accepting states.  Every state is
     reachable from ``start`` (state 0) and, unless the language is empty,
-    can reach a final state.
+    can reach a final state.  ``index`` maps each symbol to its column; it
+    is shared, so it must not be changed.
     """
 
     start = 0
 
     def __init__(self, symbols: Sequence, delta: tuple, final: tuple):
         self.symbols = tuple(symbols)
-        self.index = {sym: a for a, sym in enumerate(self.symbols)}
+        self.index = _column_index(self.symbols)
         self.delta = delta
         self.final = final
 

@@ -24,12 +24,15 @@ one loop over the groups.  Many cells differ only in their state labels and
 join the same operands, so every algebra gives them one value; the same
 compile pass hash-conses the kept cells, so in the program that is cached
 and replayed such cells are one cell (maximal sharing), and all empty cells
-are one identity cell.  That one program serves counting (a replay with
+are one identity cell.  In that program cell 0 is the identity, cells 1..P
+are the pair cells and the last cell is the answer: as in semiring parsing
+(Goodman 1999), the start symbol's value is one more chart item, the join
+of the final cells.  That one program serves counting (a replay with
 integer counts) and max-weight parsing (a replay with integer max-plus
 keys).  A replay sets each group's cell with one call to the algebra's join
 kernel for the group's term count, a function that writes the k products
-and their join out as one expression; it is generated and compiled the
-first time a group of k terms is replayed, and cached per algebra.
+and their join out as one expression; it is generated and compiled when a
+program with a group of k terms is cached, and cached per algebra.
 Grammar materialization reads the productions off the compiler's labelled
 groups, and each labelled cell's count off its shared cell in one count
 replay.
@@ -131,251 +134,211 @@ def family_automaton(req: frozenset) -> TableDfa:
     return TableDfa.compile(ProductDfa(comps), alphabet())
 
 
-class _Intersection:
-    """The span DP over (vertex, state) nodes for one (n, req): the states
-    come from the family table, the vertices from the chart."""
+def _moves(auto: TableDfa) -> tuple:
+    """Per state of `auto`: the state after a boundary pair {} (-1 if
+    dead), and the live openers as (opener, state after it, column of its
+    closer)."""
+    lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
+    boundary = [-1 if row[lb] < 0 else auto.delta[row[lb]][rb] for row in auto.delta]
+    openers = [[(b, q2, auto.index[b.partner()])
+                for b, q2 in zip(auto.symbols, row) if q2 >= 0 and b.is_opener]
+               for row in auto.delta]
+    return boundary, openers
 
-    def __init__(self, n: int, req: Iterable = ()):
-        self.n = n
-        self.auto = auto = family_automaton(frozenset(req))
-        lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
-        # per state: the state after a boundary pair {} (-1 if dead) and the
-        # live openers as (opener, state after it, column of its closer)
-        self.boundary = [-1 if row[lb] < 0 else auto.delta[row[lb]][rb]
-                         for row in auto.delta]
-        self.openers = [[(b, q2, auto.index[b.partner()])
-                         for b, q2 in zip(auto.symbols, row) if q2 >= 0 and b.is_opener]
-                        for row in auto.delta]
-        self._prog = None
 
-    def _live(self) -> list:
-        """live[u]: the states the chart may meet at vertex u.  Edge brackets
-        keep the vertex and a boundary pair moves to the next one; a closer
-        counts once its opener was met at an earlier vertex, and matching
-        the brackets is left to the chart."""
-        live = [set() for _ in range(self.n + 1)]
-        frontier = {self.auto.start}
-        closable: set = set()  # closer columns of openers met so far
-        for u in range(1, self.n + 1):
-            seen = live[u] = set(frontier)
-            todo = list(frontier)
-            met = set()
-            while todo:
-                q = todo.pop()
-                nxt = {self.auto.delta[q][c] for c in closable}
-                for (_o, q1, c) in self.openers[q]:
-                    nxt.add(q1)
-                    met.add(c)
-                for q2 in nxt - seen - {-1}:
-                    seen.add(q2)
-                    todo.append(q2)
-            closable |= met
-            frontier = {self.boundary[q] for q in seen} - {-1}
-        return live
+def _live(n: int, auto: TableDfa, boundary: list, openers: list) -> list:
+    """live[u]: the states the chart may meet at vertex u.  Edge brackets
+    keep the vertex and a boundary pair moves to the next one; a closer
+    counts once its opener was met at an earlier vertex, and matching the
+    brackets is left to the chart."""
+    live = [set() for _ in range(n + 1)]
+    frontier = {auto.start}
+    closable: set = set()  # closer columns of openers met so far
+    for u in range(1, n + 1):
+        seen = live[u] = set(frontier)
+        todo = list(frontier)
+        met = set()
+        while todo:
+            q = todo.pop()
+            nxt = {auto.delta[q][c] for c in closable}
+            for (_o, q1, c) in openers[q]:
+                nxt.add(q1)
+                met.add(c)
+            for q2 in nxt - seen - {-1}:
+                seen.add(q2)
+                todo.append(q2)
+        closable |= met
+        frontier = {boundary[q] for q in seen} - {-1}
+    return live
 
-    def _compile(self):
-        """The reduced span DP as one program of grouped joins, compiled
-        once per (n, family) and independent of weights and lexicon.
-        Returns (program, (cell_keys, shared, groups, openers, finals)):
 
-        - program = (ncells, empty_cells, pair_cells, groups, finals), the
-          hash-consed reduced chart that `replay` runs.  empty_cells holds
-          the identity cell 0, the empty fragment, unless nothing reads it;
-          pair_cells lists (cell, orientation, u, v), a cell the algebra
-          fills with the value of a bracket pair of that orientation over
-          vertices u < v.  Every other cell is the destination of one group
-          (dst, lefts, rights): the join over i of cell lefts[i] followed by
-          cell rights[i].  The groups come in span order, so each reads
-          cells already set.  finals lists (final state, cell).
-        - The rest labels the unshared cells for grammar materialization:
-          cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
-          the ends of the cell (a pair cell has the orientation and (u, v)
-          instead); groups maps each cell a join writes to its (lefts,
-          rights), in the order written; openers[c] lists for a P(a, b)
-          cell the opener of each of its pairs, None for a boundary pair;
-          finals lists (final state, cell); shared[c] is the program cell
-          of a kept cell c, counting the identity as kept, or -1.
+def _compile(n: int, req: Iterable = ()):
+    """The reduced span DP over (vertex, state) nodes for one (n, family)
+    as one program of grouped joins, independent of weights and lexicon:
+    the states come from the family table, the vertices from the chart.
+    Returns (program, (cell_keys, shared, groups, openers, finals)):
 
-        Each node heads one row of S cells, by its state: a node right
-        after an opener starts pair insides, every other node sequences.
-        Each span joins the inside rows (a P cell of a shorter span
-        followed by an S cell; at span 1, a boundary cell), then makes its
-        P(a, b) cells (a pair cell followed by the pair's inside, or a
-        boundary cell followed by the empty S cell at b), then joins the
-        sequence rows (P(a, b) of the span or a shorter one followed by
-        the S cell continuing from b).  A cell is made only where a join
-        writes it, so every cell counts > 0; a backward pass from the
-        finals then keeps only the cells some final reads, so the program
-        is the reduced chart.
+    - program = (ncells, pair_cells, groups), the hash-consed reduced chart
+      that `_replay` runs.  Cell 0 is the identity, the empty fragment.
+      pair_cells lists (cell, orientation, u, v) for cells 1..P, each
+      filled by the algebra with the value of a bracket pair of that
+      orientation over vertices u < v.  Every other cell is the
+      destination of one group (dst, lefts, rights): the join over i of
+      cell lefts[i] followed by cell rights[i].  The groups come in span
+      order, so each reads cells already set, and the last one writes the
+      last cell, the answer: the start symbol S0, which joins each final's
+      cell with the identity.  An empty family has no finals and no root
+      group, so its answer stays the algebra's zero.
+    - The rest labels the unshared cells for grammar materialization:
+      cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
+      the ends of the cell (a pair cell has the orientation and (u, v)
+      instead); groups maps each cell a join writes to its (lefts,
+      rights), in the order written; openers[c] lists for a P(a, b) cell
+      the opener of each of its pairs, None for a boundary pair; finals
+      lists (final state, cell); shared[c] is the program cell of a kept
+      cell c, or -1.
 
-        One pass over the kept groups, in program order, then hash-conses
-        them: all empty cells (S(a, a) and the boundary pairs) are the
-        identity and pair cells are 1..P.  A group's terms are mapped to
-        shared cells and sorted, kept as a multiset so that counts stay
-        exact; a one-term group with the identity on a side is the cell on
-        the other side, and a group whose terms were seen before is the
-        cell they made.
-        """
-        n, delta = self.n, self.auto.delta
-        live = self._live()
-        inside = {q1 for moves in self.openers for _o, q1, _c in moves}
-        cell_ids: dict = {}
-        groups: dict = {}  # written cell -> (lefts, rights), by first write
-        openers: dict = {}  # P cell -> opener of each of its pairs
+    Each node heads one row of S cells, by its state: a node right after
+    an opener starts pair insides, every other node sequences.  Each span
+    joins the inside rows (a P cell of a shorter span followed by an S
+    cell; at span 1, a boundary cell), then makes its P(a, b) cells (a
+    pair cell followed by the pair's inside, or a boundary cell followed
+    by the empty S cell at b), then joins the sequence rows (P(a, b) of
+    the span or a shorter one followed by the S cell continuing from b).
+    A cell is made only where a join writes it, so every cell counts > 0;
+    a backward pass from the finals then keeps only the cells some final
+    reads, so the program is the reduced chart.
 
-        def cell(kind, a, b):
-            return cell_ids.setdefault((kind, a, b), len(cell_ids))
+    One pass over the kept groups, in program order, then hash-conses
+    them: all empty cells (S(a, a) and the boundary pairs) are the
+    identity and pair cells are 1..P.  A group's terms are mapped to
+    shared cells and sorted, kept as a multiset so that counts stay
+    exact; a one-term group with the identity on a side is the cell on
+    the other side, and a group whose terms were seen before is the cell
+    they made.  The root group comes after this pass, so no cell is
+    merged into the answer.
+    """
+    auto = family_automaton(frozenset(req))
+    delta = auto.delta
+    boundary, moves = _moves(auto)
+    live = _live(n, auto, boundary, moves)
+    inside = {q1 for row in moves for _o, q1, _c in row}
+    cell_ids: dict = {}
+    groups: dict = {}  # written cell -> (lefts, rights), by first write
+    openers: dict = {}  # P cell -> opener of each of its pairs
 
-        def join(s, spans, heads_inside):
-            for p in spans:
-                for (a, b), f in p_cells[p].items():
-                    rest = rows[s - p].get(b)
-                    if not rest or (a[1] in inside) != heads_inside:
+    def cell(kind, a, b):
+        return cell_ids.setdefault((kind, a, b), len(cell_ids))
+
+    def join(s, spans, heads_inside):
+        for p in spans:
+            for (a, b), f in p_cells[p].items():
+                rest = rows[s - p].get(b)
+                if not rest or (a[1] in inside) != heads_inside:
+                    continue
+                row = rows[s].setdefault(a, {})
+                for c, src in rest.items():
+                    dst = row.get(c)
+                    if dst is None:
+                        dst = row[c] = cell("S", a, c)
+                        groups[dst] = ([], [])
+                    lefts, rights = groups[dst]
+                    lefts.append(f)
+                    rights.append(src)
+
+    def fold(s, a, b, left, right, opener):
+        f = p_cells[s].get((a, b))
+        if f is None:
+            f = p_cells[s][a, b] = cell("P", a, b)
+            groups[f], openers[f] = ([], []), []
+        groups[f][0].append(left)
+        groups[f][1].append(right)
+        openers[f].append(opener)
+
+    empty_cells = []
+    rows = [dict() for _ in range(n)]  # span -> a -> {b: S cell}
+    for u in range(1, n + 1):
+        for q in live[u]:
+            a = (u, q)
+            c = cell("S", a, a)
+            rows[0][a] = {a: c}
+            empty_cells.append(c)
+    p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
+    for s in range(1, n):
+        join(s, range(1, s), True)
+        if s == 1:
+            # boundary pairs; each is also the whole inside of a span-1
+            # edge pair
+            for u in range(1, n):
+                for q in live[u]:
+                    if boundary[q] < 0:
                         continue
-                    row = rows[s].setdefault(a, {})
-                    for c, src in rest.items():
-                        dst = row.get(c)
-                        if dst is None:
-                            dst = row[c] = cell("S", a, c)
-                            groups[dst] = ([], [])
-                        lefts, rights = groups[dst]
-                        lefts.append(f)
-                        rights.append(src)
+                    a, b = (u, q), (u + 1, boundary[q])
+                    c = cell("{}", a, b)
+                    empty_cells.append(c)
+                    if q in inside:
+                        rows[s][a] = {b: c}
+                    fold(s, a, b, c, rows[0][b][b], None)
+        for u in range(1, n - s + 1):
+            v = u + s
+            for qa in live[u]:
+                for (o, q1, close) in moves[qa]:
+                    for (_v, q2), ccell in rows[s].get((u, q1), {}).items():
+                        qb = delta[q2][close]
+                        if qb >= 0:
+                            k = cell("pair", o.orientation, (u, v))
+                            fold(s, (u, qa), (v, qb), k, ccell, o)
+        join(s, range(1, s + 1), False)
+    whole = rows[n - 1].get((1, auto.start), {})
+    finals = [(qf, c) for (_n, qf), c in whole.items() if auto.final[qf]]
+    keys = list(cell_ids)
+    del live, rows, p_cells, cell_ids, whole
 
-        def fold(s, a, b, left, right, opener):
-            f = p_cells[s].get((a, b))
-            if f is None:
-                f = p_cells[s][a, b] = cell("P", a, b)
-                groups[f], openers[f] = ([], []), []
-            groups[f][0].append(left)
-            groups[f][1].append(right)
-            openers[f].append(opener)
+    # every input of a group was written earlier, so one backward pass
+    # marks all that some final reads
+    needed = bytearray(len(keys))
+    for _qf, c in finals:
+        needed[c] = 1
+    for dst, (lefts, rights) in reversed(groups.items()):
+        if needed[dst]:
+            for c in lefts:
+                needed[c] = 1
+            for c in rights:
+                needed[c] = 1
 
-        empty_cells = []
-        rows = [dict() for _ in range(n)]  # span -> a -> {b: S cell}
-        for u in range(1, n + 1):
-            for q in live[u]:
-                a = (u, q)
-                c = cell("S", a, a)
-                rows[0][a] = {a: c}
-                empty_cells.append(c)
-        p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
-        for s in range(1, n):
-            join(s, range(1, s), True)
-            if s == 1:
-                # boundary pairs; each is also the whole inside of a span-1
-                # edge pair
-                for u in range(1, n):
-                    for q in live[u]:
-                        if self.boundary[q] < 0:
-                            continue
-                        a, b = (u, q), (u + 1, self.boundary[q])
-                        c = cell("{}", a, b)
-                        empty_cells.append(c)
-                        if q in inside:
-                            rows[s][a] = {b: c}
-                        fold(s, a, b, c, rows[0][b][b], None)
-            for u in range(1, n - s + 1):
-                v = u + s
-                for qa in live[u]:
-                    for (o, q1, close) in self.openers[qa]:
-                        for (_v, q2), ccell in rows[s].get((u, q1), {}).items():
-                            qb = delta[q2][close]
-                            if qb >= 0:
-                                k = cell("pair", o.orientation, (u, v))
-                                fold(s, (u, qa), (v, qb), k, ccell, o)
-            join(s, range(1, s + 1), False)
-        whole = rows[n - 1].get((1, self.auto.start), {})
-        finals = [(qf, c) for (_n, qf), c in whole.items() if self.auto.final[qf]]
-        keys = list(cell_ids)
-        del live, rows, p_cells, cell_ids, whole
+    # hash-cons the kept cells in program order
+    shared = [-1] * len(keys)
+    for c in empty_cells:
+        if needed[c]:
+            shared[c] = 0
+    pair_cells = [(c, key[1], *key[2]) for c, key in enumerate(keys)
+                  if key[0] == "pair" and needed[c]]
+    for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
+        shared[c] = i
+    made: dict = {}  # (lefts, rights) of sorted terms -> shared cell
+    shared_groups = []
+    at = shared.__getitem__
+    for dst, (lefts, rights) in groups.items():
+        if not needed[dst]:
+            continue
+        terms = sorted(zip(map(at, lefts), map(at, rights)))
+        if len(terms) == 1 and 0 in terms[0]:
+            left, right = terms[0]
+            shared[dst] = right if left == 0 else left
+            continue
+        operands = tuple(zip(*terms))
+        c = made.get(operands)
+        if c is None:
+            c = made[operands] = len(pair_cells) + 1 + len(shared_groups)
+            shared_groups.append((c, *operands))
+        shared[dst] = c
 
-        # every input of a group was written earlier, so one backward pass
-        # marks all that some final reads
-        needed = bytearray(len(keys))
-        for _qf, c in finals:
-            needed[c] = 1
-        for dst, (lefts, rights) in reversed(groups.items()):
-            if needed[dst]:
-                for c in lefts:
-                    needed[c] = 1
-                for c in rights:
-                    needed[c] = 1
-
-        # hash-cons the kept cells in program order
-        shared = [-1] * len(keys)
-        for c in empty_cells:
-            if needed[c]:
-                shared[c] = 0
-        pair_cells = [(c, key[1], *key[2]) for c, key in enumerate(keys)
-                      if key[0] == "pair" and needed[c]]
-        for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
-            shared[c] = i
-        made: dict = {}  # (lefts, rights) of sorted terms -> shared cell
-        shared_groups = []
-        at = shared.__getitem__
-        for dst, (lefts, rights) in groups.items():
-            if not needed[dst]:
-                continue
-            terms = sorted(zip(map(at, lefts), map(at, rights)))
-            if len(terms) == 1 and 0 in terms[0]:
-                left, right = terms[0]
-                shared[dst] = right if left == 0 else left
-                continue
-            operands = tuple(zip(*terms))
-            c = made.get(operands)
-            if c is None:
-                c = made[operands] = len(pair_cells) + 1 + len(shared_groups)
-                shared_groups.append((c, *operands))
-            shared[dst] = c
-        shared_finals = [(qf, shared[c]) for qf, c in finals]
-
-        # each kept cell is read, so each shared cell but the identity is
-        # read as well; when nothing reads the identity it drops out, and
-        # the cells after it move down one
-        if (any(c == 0 for _qf, c in shared_finals)
-                or any(0 in lefts or 0 in rights for _c, lefts, rights in shared_groups)):
-            empty, down = (0,), 0
-        else:
-            empty, down = (), 1
-            shared_groups = [(c - 1, tuple(x - 1 for x in lefts), tuple(x - 1 for x in rights))
-                             for c, lefts, rights in shared_groups]
-        program = (len(pair_cells) + 1 + len(shared_groups) - down, empty,
-                   tuple((i - down, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
-                   tuple(shared_groups),
-                   tuple((qf, c - down) for qf, c in shared_finals))
-        return program, (keys, shared, groups, openers, finals)
-
-    def _program(self):
-        """The cached replay program, without the labels `_compile` returns
-        with it."""
-        if self._prog is None:
-            self._prog = self._compile()[0]
-        return self._prog
-
-    def replay(self, algebra, program=None) -> list:
-        """Values of every cell of `program` (by default the cached one)
-        under `algebra`, by replaying it without touching the automaton
-        again: one kernel call per group, the algebra's unrolled join for
-        the group's term count.  The product distributes over the join, so
-        joining the pairs of one P(a, b) before they meet their
-        continuations keeps every value exact."""
-        ncells, empty_cells, pair_cells, groups, _finals = program or self._program()
-        cells = [algebra.zero] * ncells
-        empty = algebra.empty()
-        for c in empty_cells:
-            cells[c] = empty
-        for c, o, u, v in pair_cells:
-            cells[c] = algebra.pair(o, u, v)
-        kernels = algebra.kernels
-        for dst, lefts, rights in groups:
-            cells[dst] = kernels[len(lefts)](cells, lefts, rights)
-        return cells
-
-    def totals(self, algebra) -> dict:
-        """Aggregated values over the whole language, keyed by final state."""
-        cells = self.replay(algebra)
-        return {qf: cells[c] for qf, c in self._program()[4]}
+    root = len(pair_cells) + 1 + len(shared_groups)
+    if finals:
+        shared_groups.append((root, tuple(shared[c] for _qf, c in finals), (0,) * len(finals)))
+    program = (root + 1, tuple((i, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
+               tuple(shared_groups))
+    return program, (keys, shared, groups, openers, finals)
 
 
 # the two templates every kernel's source is made from, given only its term
@@ -388,7 +351,7 @@ class _Kernels(dict):
     """Unrolled join kernels by term count: self[k](c, L, R) is the join
     over i < k of c[L[i]] ⊗ c[R[i]], written out as one expression, so a
     group costs one call and no iterator.  A kernel is generated, compiled
-    and cached on the first group of its size.  A subclass gives the
+    and cached on the first lookup of its size.  A subclass gives the
     product operator `times` and `join(terms)`, the expression that joins
     the source of k terms."""
 
@@ -502,27 +465,57 @@ class _MaxAlgebra:
                          if mask >> (n * n - 1 - r) & 1)
 
 
-_INTERSECTION_CACHE: dict = {}
+_PROGRAMS: dict = {}  # (n, family) -> replay program
 
 
-def _intersection(n: int, req: Iterable = (),
-                  lex: Optional[LexicalConstraint] = None) -> _Intersection:
+def _program(n: int, req: Iterable = ()) -> tuple:
+    """The cached replay program of (n, family), without the labels
+    `_compile` returns with it.  A program is cached with the count and max
+    kernels of each of its term counts, so no replay compiles one."""
+    key = (n, frozenset(req))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS[key] = _compile(*key)[0]
+        sizes = {len(lefts) for _dst, lefts, _rights in program[2]}
+        for kernels in (_CountAlgebra.kernels, _MaxAlgebra.kernels):
+            for k in sizes:
+                kernels[k]  # compiled and cached on first lookup
+    return program
+
+
+def _replay(program: tuple, algebra) -> list:
+    """Values of every cell of `program` under `algebra`, by replaying it
+    without touching the automaton again: one kernel call per group, the
+    algebra's unrolled join for the group's term count.  The product
+    distributes over the join, so joining the pairs of one P(a, b) before
+    they meet their continuations keeps every value exact.  The last cell
+    is the answer, the join over the whole language."""
+    ncells, pair_cells, groups = program
+    cells = [algebra.zero] * ncells
+    cells[0] = algebra.empty()
+    for c, o, u, v in pair_cells:
+        cells[c] = algebra.pair(o, u, v)
+    kernels = algebra.kernels
+    for dst, lefts, rights in groups:
+        cells[dst] = kernels[len(lefts)](cells, lefts, rights)
+    return cells
+
+
+def _check(n: int, lex: Optional[LexicalConstraint]) -> None:
+    """Reject a vertex count below 1 or a lexicon vertex outside 1..n,
+    before anything is compiled or cached."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if lex is not None:
         for v in sorted(lex.flags):
             if not 1 <= v <= n:
                 raise ValueError(f"lexicon vertex {v} out of range 1..{n}")
-    key = (n, frozenset(req))
-    if key not in _INTERSECTION_CACHE:
-        _INTERSECTION_CACHE[key] = _Intersection(*key)
-    return _INTERSECTION_CACHE[key]
 
 
 def count_family_strings(n: int, req: Iterable = (), lex: Optional[LexicalConstraint] = None) -> int:
     """Size of the intersection language (= number of family members)."""
-    inter = _intersection(n, req, lex)
-    return sum(inter.totals(_CountAlgebra(lex)).values())
+    _check(n, lex)
+    return _replay(_program(n, req), _CountAlgebra(lex))[-1]
 
 
 def build_intersection_grammar(n: int, req: Iterable = (),
@@ -541,11 +534,9 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     under the lexicon are left out, and so is every nonterminal only they
     reach.
     """
-    inter = _intersection(n, req, lex)
-    program, (cell_keys, shared, groups, openers, finals) = inter._compile()
-    counts = inter.replay(_CountAlgebra(lex), program)
-    if not program[1]:
-        counts.insert(0, 1)  # the identity, which the program drops when no group reads it
+    _check(n, lex)
+    program, (cell_keys, shared, groups, openers, finals) = _compile(n, req)
+    counts = _replay(program, _CountAlgebra(lex))
 
     def count(c):
         return counts[shared[c]]
@@ -592,10 +583,10 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 def parse_max(w: WeightMatrix, req: Iterable = (),
               lex: Optional[LexicalConstraint] = None) -> ParseResult:
     """Exact argmax of the arc-weight sum over the requested family."""
-    inter = _intersection(w.n, req, lex)
+    _check(w.n, lex)
     alg = _MaxAlgebra(w, lex)
-    best = max(inter.totals(alg).values(), default=None)
-    if best is None or best < -alg.m1:
+    best = _replay(_program(w.n, req), alg)[-1]
+    if best < -alg.m1:
         raise NoParseError("the requested family is empty for this input")
     arcs = alg.arcs(best)
     return ParseResult(Digraph(w.n, arcs), sum(w.get(i, j) for (i, j) in sorted(arcs)))

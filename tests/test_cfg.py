@@ -184,3 +184,13 @@ def test_bar_hillel_sanity_random_strings():
     for _ in range(500):
         s = tuple(rng.choice(toks) for _ in range(rng.randrange(0, 12)))
         assert prod.accepts(s) == (reg.accepts(s) and other.accepts(s))
+
+
+def test_tables_over_one_alphabet_share_one_column_index():
+    from ncdigraph.digraphs import PropertyId, parse_property_set
+    from ncdigraph.inference import family_automaton
+    from ncdigraph.latent import constraint_dfa, reg_lat
+
+    index = reg_lat().index
+    assert all(constraint_dfa(p).index is index for p in PropertyId)
+    assert family_automaton(parse_property_set("out-tree")).index is index

@@ -55,7 +55,7 @@ def _nc_tree_count(n):
 
 
 def test_tree_family_counts_match_closed_forms():
-    for n in (6, 7, 8, 9):
+    for n in (6, 7, 8, 9, 11, 12):
         t = _nc_tree_count(n)
         assert count_family_strings(n, parse_property_set("polytree")) == 2 ** (n - 1) * t
         assert count_family_strings(n, parse_property_set("mixed-tree")) == 3 ** (n - 1) * t
@@ -220,11 +220,11 @@ def test_family_automaton_minimal_state_counts():
 
 def test_family_automaton_is_built_once_per_family():
     # the table knows no n and no lexicon: one build serves them all
-    from ncdigraph.inference import _INTERSECTION_CACHE
+    from ncdigraph.inference import _PROGRAMS
 
     fams = (frozenset(), parse_property_set("out-tree"))
     lex = LexicalConstraint({1: frozenset({"out-right", "in-right"})})
-    _INTERSECTION_CACHE.clear()
+    _PROGRAMS.clear()
     family_automaton.cache_clear()
     for fam in fams:
         for n in range(1, 9):
@@ -324,11 +324,12 @@ _PROGRAM_FAMS = (frozenset(), frozenset({PropertyId.ACYC_D}),
                  frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
 
 
-def _assert_set_once_and_coreachable(program, cells=None):
-    """Each cell (by default 0 .. ncells - 1) is set once, as an input or by
-    one group, a group reads only cells already set, and a search down from
-    the finals meets every cell."""
-    ncells, empty, pair_cells, groups, finals = program
+def _assert_set_once_and_coreachable(program, empty=(0,), cells=None):
+    """Each cell (by default 0 .. ncells - 1) is set once, as an empty cell,
+    a pair cell or by one group, a group reads only cells already set, the
+    last group writes the last cell, the answer, and a search down from the
+    answer meets every cell."""
+    ncells, pair_cells, groups = program
     cells = sorted(range(ncells) if cells is None else cells)
     inputs = list(empty) + [c for c, *_kind in pair_cells]
     assert sorted(inputs + [d for d, _l, _r in groups]) == cells
@@ -336,8 +337,9 @@ def _assert_set_once_and_coreachable(program, cells=None):
     for dst, lefts, rights in groups:
         assert ready.issuperset(lefts) and ready.issuperset(rights)
         ready.add(dst)
+    assert groups[-1][0] == ncells - 1
     reads = {dst: lefts + rights for dst, lefts, rights in groups}
-    seen = {c for _qf, c in finals}
+    seen = {ncells - 1}
     todo = list(seen)
     while todo:
         for c in reads.get(todo.pop(), ()):
@@ -352,11 +354,16 @@ def _is_empty_cell(key):
     return kind == "{}" or (kind == "S" and a == b)
 
 
+def _times_join(alg):
+    """The product and the join of `alg`, as plain Python functions."""
+    return (operator.mul, sum) if alg.zero == 0 else (operator.add, max)
+
+
 def _labelled_values(alg, keys, groups):
     """Reference replay of the compiler's labelled groups, one term at a
     time: the value of every cell the compiler made, before the trim and
     the sharing."""
-    times, join = (operator.mul, sum) if alg.zero == 0 else (operator.add, max)
+    times, join = _times_join(alg)
     values = {}
     for c, key in enumerate(keys):
         if key[0] == "pair":
@@ -370,38 +377,40 @@ def _labelled_values(alg, keys, groups):
 
 def _kept_program(keys, shared, groups, finals):
     """The labelled groups of the kept cells (those with a shared cell) as
-    a program over their labelled ids, and those ids."""
+    a program over their labelled ids, with a root cell after them that
+    joins each final with the empty S cell at its end node; its empty
+    cells; and the kept ids."""
     kept = [c for c, s in enumerate(shared) if s >= 0]
-    program = (None, [c for c in kept if _is_empty_cell(keys[c])],
-               [(c,) for c in kept if keys[c][0] == "pair"],
+    root = len(keys)
+    ends = tuple(keys.index(("S", keys[c][2], keys[c][2])) for _qf, c in finals)
+    program = (root + 1, [(c,) for c in kept if keys[c][0] == "pair"],
                [(dst, lefts, rights) for dst, (lefts, rights) in groups.items()
-                if shared[dst] >= 0],
-               finals)
-    return program, kept
+                if shared[dst] >= 0]
+               + [(root, tuple(c for _qf, c in finals), ends)])
+    return program, [c for c in kept if _is_empty_cell(keys[c])], kept
 
 
 def test_compiled_program_leaves_no_dead_value():
     # the program is the reduced chart: every cell, pair value and P(a, b)
     # cell the compiler keeps counts > 0 and is read, through the labelled
     # groups, by a final
-    from ncdigraph.inference import _CountAlgebra, _Intersection
+    from ncdigraph.inference import _compile, _CountAlgebra
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            inter = _Intersection(n, fam)
-            _prog, (keys, shared, groups, openers, finals) = inter._compile()
-            labelled, kept = _kept_program(keys, shared, groups, finals)
+            _prog, (keys, shared, groups, openers, finals) = _compile(n, fam)
+            labelled, empty, kept = _kept_program(keys, shared, groups, finals)
             cells = _labelled_values(_CountAlgebra(), keys, groups)
             assert len(shared) == len(keys) == len(cells)
             assert all(cells[c] > 0 for c in kept)
             assert all(cells[left] * cells[right] > 0
-                       for _dst, lefts, rights in labelled[3]
+                       for _dst, lefts, rights in labelled[2]
                        for left, right in zip(lefts, rights))
             folds = [c for c in kept if keys[c][0] == "P"]
             assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
             assert sorted(set(openers) & set(kept)) == folds
             assert all(keys[f][0] == "P" for f in openers)
-            _assert_set_once_and_coreachable(labelled, kept)
+            _assert_set_once_and_coreachable(labelled, empty, kept + [labelled[0] - 1])
 
 
 _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
@@ -414,45 +423,46 @@ _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
 
 def test_shared_program_gives_the_unshared_values():
     # the cached replay program is the hash-consed reduced chart: under
-    # either algebra, with or without a lexicon, each final has the value
-    # it has in the labelled groups that grammar materialization reads, and
-    # so does every kept cell through its shared id
-    from ncdigraph.inference import _CountAlgebra, _Intersection, _MaxAlgebra
+    # either algebra, with or without a lexicon, its answer is the join of
+    # the finals' values in the labelled groups that grammar
+    # materialization reads, and every kept cell, each final among them,
+    # has its labelled value through its shared id
+    from ncdigraph.inference import _compile, _CountAlgebra, _MaxAlgebra, _program, _replay
 
     rng = random.Random(47)
     for fam, n in _SHARED_CASES:
-        inter = _Intersection(n, fam)
-        shared_program, (keys, shared, groups, _openers, finals) = inter._compile()
-        program = inter._program()
-        assert shared_program == program
-        assert [qf for qf, _c in program[4]] == [qf for qf, _c in finals]
+        program, (keys, shared, groups, _openers, finals) = _compile(n, fam)
+        assert program == _program(n, fam)
+        assert program[2][-1] == (program[0] - 1, tuple(shared[c] for _qf, c in finals),
+                                  (0,) * len(finals))
         for lex in (None, _random_lexicon(rng, n)):
             w = random_weights(rng, n, hi=100)
             for alg in (_CountAlgebra(lex), _MaxAlgebra(w, lex)):
                 want = _labelled_values(alg, keys, groups)
-                got = inter.replay(alg)
-                assert ([got[c] for _qf, c in program[4]]
-                        == [want[c] for _qf, c in finals]), (n, sorted(fam), lex)
-                if not program[1]:
-                    got.insert(0, alg.empty())  # the identity no group reads
+                got = _replay(program, alg)
+                _times, join = _times_join(alg)
+                assert got[-1] == join(want[c] for _qf, c in finals), (n, sorted(fam), lex)
                 assert all(got[s] == want[c] for c, s in enumerate(shared) if s >= 0)
 
 
 def test_shared_program_is_maximally_shared():
     # set once, read after set and co-reachable, like the labelled groups;
-    # one identity cell, one cell per term multiset, and no group that only
-    # renames its one non-identity operand
-    from ncdigraph.inference import _Intersection
+    # the identity at 0 and the pair cells at 1..P; before the root, one
+    # cell per term multiset and no group that only renames its one
+    # non-identity operand; the root joins each final with the identity
+    from ncdigraph.inference import _program
 
     for fam, n in _SHARED_CASES:
-        program = _Intersection(n, fam)._program()
+        program = _program(n, fam)
         _assert_set_once_and_coreachable(program)
-        _ncells, empty, pair_cells, groups, _finals = program
-        assert len(empty) <= 1
+        ncells, pair_cells, groups = program
+        assert [c for c, _o, _u, _v in pair_cells] == list(range(1, len(pair_cells) + 1))
         assert len({(o, u, v) for _c, o, u, v in pair_cells}) == len(pair_cells)
-        terms = [tuple(sorted(zip(lefts, rights))) for _d, lefts, rights in groups]
+        *body, (root, finals, identities) = groups
+        terms = [tuple(sorted(zip(lefts, rights))) for _d, lefts, rights in body]
         assert len(set(terms)) == len(terms), (n, sorted(fam))
-        assert not any(len(t) == 1 and set(t[0]) & set(empty) for t in terms)
+        assert not any(len(t) == 1 and 0 in t[0] for t in terms)
+        assert root == ncells - 1 and finals and identities == (0,) * len(finals)
 
 
 def test_shared_program_keeps_repeated_terms(monkeypatch):
@@ -464,7 +474,7 @@ def test_shared_program_keeps_repeated_terms(monkeypatch):
     from ncdigraph import inference
     from ncdigraph.cfg import TableDfa
     from ncdigraph.chains import FORWARD
-    from ncdigraph.inference import _CountAlgebra, _Intersection
+    from ncdigraph.inference import _compile, _CountAlgebra, _replay
     from ncdigraph.latent import BOUNDARY_CLOSE, BOUNDARY_OPEN, alphabet
 
     symbols = alphabet()
@@ -475,13 +485,13 @@ def test_shared_program_keeps_repeated_terms(monkeypatch):
                                     for q in range(8)),
                      tuple(q == 4 for q in range(8)))
     monkeypatch.setattr(inference, "family_automaton", lambda req: table)
-    inter = _Intersection(2)
-    program, (keys, shared, groups, _openers, _finals) = inter._compile()
-    # cell 0 is the identity, 1 the pair and 2 joins it with each boundary pair
-    assert program == (3, (0,), ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)),), ((4, 2),))
+    program, (keys, shared, groups, _openers, _finals) = _compile(2)
+    # cell 0 is the identity, 1 the pair, 2 joins it with each boundary pair
+    # and 3, the answer, joins the one final with the identity
+    assert program == (4, ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)), (3, (2,), (0,))))
     [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
     assert len(set(zip(lefts, rights))) == 2
-    assert inter.replay(_CountAlgebra(), program)[2] == 2
+    assert _replay(program, _CountAlgebra())[2:] == [2, 2]
 
 
 def test_join_kernels_replay_long_and_single_groups():
@@ -491,7 +501,7 @@ def test_join_kernels_replay_long_and_single_groups():
     # value is the join computed here, under both algebras, and a kernel is
     # compiled once per term count and shared by the algebra's instances
     from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
-    from ncdigraph.inference import _CountAlgebra, _Intersection, _MaxAlgebra
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay
 
     n, rng = 6, random.Random(59)
     pairs = tuple((1 + i, o, u, v) for i, (o, u, v) in enumerate(
@@ -503,42 +513,93 @@ def test_join_kernels_replay_long_and_single_groups():
     groups.append((ncells, tuple(rng.randrange(ncells) for _ in range(5000)),
                    tuple(rng.randrange(ncells) for _ in range(5000))))
     groups.append((ncells + 1, (ncells,), (rng.randrange(ncells),)))
-    program = (ncells + 2, (0,), pairs, tuple(groups), ((0, ncells + 1),))
+    program = (ncells + 2, pairs, tuple(groups))
     lex = _random_lexicon(rng, n)
     for alg, times, join in ((_CountAlgebra(lex), operator.mul, sum),
                              (_MaxAlgebra(random_weights(rng, n), lex), operator.add, max)):
         want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
         for _dst, lefts, rights in groups:
             want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
-        assert _Intersection(n).replay(alg, program) == want
+        assert _replay(program, alg) == want
         assert alg.kernels[5000] is alg.kernels[5000] is type(alg).kernels[5000]
         assert alg.kernels[1] is alg.kernels[1]
 
 
 def test_shared_program_sizes():
-    # unshared at ∅ n = 9: 4,193 cells, 3,857 groups and 24,260 terms
-    from ncdigraph.inference import _Intersection
+    # unshared at ∅ n = 9: 4,193 cells, 3,857 groups and 24,260 terms;
+    # shared, before the root cell and its group: 1,599 cells, 1,490 groups
+    # and 11,932 terms, and the root adds one term per final (20)
+    from ncdigraph.inference import _program
 
-    ncells, _empty, _pairs, groups, _finals = _Intersection(9)._program()
+    ncells, _pairs, groups = _program(9)
     assert (ncells, len(groups), sum(len(lefts) for _d, lefts, _r in groups)) == (
-        1_599, 1_490, 11_932)
+        1_600, 1_491, 11_952)
+
+
+def test_cached_program_comes_with_its_kernels():
+    # caching a program compiles the count and max kernels of every term
+    # count it has, the root's included, so no replay compiles one
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _PROGRAMS
+
+    fam = parse_property_set("mixed-tree")
+    _PROGRAMS.pop((8, fam), None)
+    _CountAlgebra.kernels.clear()
+    _MaxAlgebra.kernels.clear()
+    count_family_strings(8, fam)
+    sizes = {len(lefts) for _dst, lefts, _rights in _PROGRAMS[8, fam][2]}
+    assert len(sizes) > 1
+    assert sizes <= set(_CountAlgebra.kernels) and sizes <= set(_MaxAlgebra.kernels)
+
+
+def test_empty_family_program_has_no_root():
+    # {INV, ORIENTED, CONN_W} has no member past one vertex: no final, so
+    # no root group, and the answer cell keeps the algebra's zero
+    from ncdigraph.inference import _program
+
+    fam = frozenset({PropertyId.INV, PropertyId.ORIENTED, PropertyId.CONN_W})
+    rng = random.Random(61)
+    for n in range(2, 7):
+        assert _program(n, fam) == (2, (), ())
+        assert count_family_strings(n, fam) == 0
+        with pytest.raises(NoParseError):
+            parse_max(random_weights(rng, n), fam)
+        g = build_intersection_grammar(n, fam)
+        assert g.start == ("S0",)
+        assert set(g.productions) == {(("S0",), (("DEAD",),)), (("DEAD",), (("DEAD",),))}
+
+
+def test_identity_is_cell_0_when_only_the_root_reads_it():
+    # at n = 2 a connected digraph has an arc, so no group of these
+    # programs but the root reads the identity
+    from ncdigraph.inference import _CountAlgebra, _family_members, _program, _replay
+
+    for name in ("CONN_W", "polytree", "mixed-tree", "wc-dag", "out-tree"):
+        fam = parse_property_set(name)
+        program = _program(2, fam)
+        ncells, _pairs, groups = program
+        *body, (root, finals, identities) = groups
+        assert not any(0 in lefts + rights for _dst, lefts, rights in body), name
+        assert root == ncells - 1 and identities == (0,) * len(finals)
+        cells = _replay(program, _CountAlgebra())
+        assert cells[0] == 1
+        assert cells[-1] == count_family_strings(2, fam) == len(_family_members(2, fam)[0])
 
 
 def test_pair_insides_and_sequences_have_distinct_heads():
     # the compiler gives each node one row of S cells, chosen by its state:
     # pair insides for a state right after an opener, sequences for the
     # start, a state after {} and a state after a closer; no state is both
-    from ncdigraph.inference import _Intersection
+    from ncdigraph.inference import _moves
 
     names = [p.value for p in PropertyId] + [
         "polytree", "mixed-tree", "multitree", "wc-dag", "out-tree"]
     fams = {parse_property_set(name) for name in names} | set(_PROGRAM_FAMS)
     for fam in fams:
-        inter = _Intersection(1, fam)
-        auto = inter.auto
-        inside = {q1 for moves in inter.openers for _o, q1, _c in moves}
+        auto = family_automaton(fam)
+        boundary, openers = _moves(auto)
+        inside = {q1 for moves in openers for _o, q1, _c in moves}
         closers = [a for a, b in enumerate(auto.symbols) if b.is_closer]
-        heads = {auto.start, *inter.boundary}
+        heads = {auto.start, *boundary}
         heads |= {row[a] for row in auto.delta for a in closers}
         assert inside and not inside & (heads - {-1}), sorted(fam)
 
@@ -546,15 +607,15 @@ def test_pair_insides_and_sequences_have_distinct_heads():
 def test_pair_fold_has_the_grammar_shape():
     # one fold cell per ("P", a, b) nonterminal of the materialized grammar,
     # and the joins meet the continuation once per (a, b), not once per pair
-    from ncdigraph.inference import _Intersection
+    from ncdigraph.inference import _compile
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, (keys, shared, _groups, _openers, _finals) = _Intersection(n, fam)._compile()
+            _prog, (keys, shared, _groups, _openers, _finals) = _compile(n, fam)
             g = build_intersection_grammar(n, fam)
             p_lhs = {lhs for lhs, _rhs in g.productions if lhs[0] == "P"}
             assert len(p_lhs) == sum(key[0] == "P" and s >= 0 for key, s in zip(keys, shared))
-    _prog, (keys, shared, groups, _openers, _finals) = _Intersection(9)._compile()
+    _prog, (keys, shared, groups, _openers, _finals) = _compile(9)
     joins = sum(len(lefts) for dst, (lefts, _rights) in groups.items()
                 if shared[dst] >= 0 and keys[dst][0] != "P")
     # 169,631 before the fold, 25,639 before the trim to the reduced chart
@@ -752,9 +813,9 @@ def test_parse_rejects_lexicon_vertex_out_of_range():
 
 
 def test_chart_entry_points_reject_bad_input_before_caching():
-    from ncdigraph.inference import _INTERSECTION_CACHE
+    from ncdigraph.inference import _PROGRAMS
 
-    before = len(_INTERSECTION_CACHE)
+    before = len(_PROGRAMS)
     for call in (count_family_strings, build_intersection_grammar):
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least 1"):
@@ -763,7 +824,7 @@ def test_chart_entry_points_reject_bad_input_before_caching():
             lex = LexicalConstraint({v: frozenset()})
             with pytest.raises(ValueError, match="out of range"):
                 call(3, (), lex)
-    assert len(_INTERSECTION_CACHE) == before
+    assert len(_PROGRAMS) == before
 
 
 def test_weight_matrix_rejects_unrankable_weights():
@@ -792,11 +853,11 @@ def _random_lexicon(rng, n):
 
 def test_lexicons_share_one_program_per_family():
     # the lexicon is applied at replay, so it never keys the cache
-    from ncdigraph.inference import _INTERSECTION_CACHE
+    from ncdigraph.inference import _PROGRAMS
 
     rng = random.Random(41)
     fams = (frozenset(), parse_property_set("out-tree"))
-    _INTERSECTION_CACHE.clear()
+    _PROGRAMS.clear()
     for fam in fams:
         for n in (3, 5, 7):
             for _ in range(6):
@@ -806,7 +867,7 @@ def test_lexicons_share_one_program_per_family():
                     parse_max(random_weights(rng, n), fam, lex)
                 except NoParseError:
                     pass
-    assert sorted(_INTERSECTION_CACHE, key=repr) == sorted(
+    assert sorted(_PROGRAMS, key=repr) == sorted(
         ((n, fam) for fam in fams for n in (3, 5, 7)), key=repr)
 
 
