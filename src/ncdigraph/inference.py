@@ -31,11 +31,13 @@ of the final cells.  That one program serves counting (a replay with
 integer counts) and max-weight parsing (a replay with integer max-plus
 keys).  A replay sets each group's cell with one call to the algebra's join
 kernel for the group's term count, a function that writes the k products
-and their join out as one expression; it is generated and compiled when a
-program with a group of k terms is cached, and cached per algebra.
+and their join out term by term: a balanced sum for counts, a chain of
+compares for max keys.  It is generated and compiled when a program with
+a group of k terms is cached, and kept in the algebra's plain dict.
 Grammar materialization reads the productions off the compiler's labelled
 groups, and each labelled cell's count off its shared cell in one count
-replay.
+replay; it caches the program it compiled, so a later count or parse of the
+same (n, family) compiles nothing.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -343,56 +345,53 @@ def _compile(n: int, req: Iterable = ()):
 
 # the two templates every kernel's source is made from, given only its term
 # count k: the function, and the product of one term's two operands
-_KERNEL = "def kernel(c, L, R):\n    {lefts}, = L\n    {rights}, = R\n    return {join}\n"
+_KERNEL = "def kernel(c, L, R):\n    {lefts}, = L\n    {rights}, = R\n    {body}\n"
 _TERM = "c[l{i}] {times} c[r{i}]"
 
 
-class _Kernels(dict):
-    """Unrolled join kernels by term count: self[k](c, L, R) is the join
-    over i < k of c[L[i]] ⊗ c[R[i]], written out as one expression, so a
-    group costs one call and no iterator.  A kernel is generated, compiled
-    and cached on the first lookup of its size.  A subclass gives the
-    product operator `times` and `join(terms)`, the expression that joins
-    the source of k terms."""
-
-    def __missing__(self, k: int):
-        terms = [_TERM.format(i=i, times=self.times) for i in range(k)]
-        source = _KERNEL.format(lefts=", ".join(f"l{i}" for i in range(k)),
-                                rights=", ".join(f"r{i}" for i in range(k)),
-                                join=self.join(terms))
-        scope: dict = {}
-        exec(compile(source, f"<{type(self).__name__}[{k}]>", "exec"), scope)
-        kernel = self[k] = scope["kernel"]
-        return kernel
+def _kernel(algebra: type, k: int):
+    """The unrolled join kernel of k terms for `algebra`: kernel(c, L, R)
+    is the join over i < k of c[L[i]] ⊗ c[R[i]], written out term by term,
+    so a group costs one call and no iterator.  The algebra gives the
+    product operator `times` and `join(terms)`, the statements that join
+    the source of k terms and return the result."""
+    terms = [_TERM.format(i=i, times=algebra.times) for i in range(k)]
+    source = _KERNEL.format(lefts=", ".join(f"l{i}" for i in range(k)),
+                            rights=", ".join(f"r{i}" for i in range(k)),
+                            body="\n    ".join(algebra.join(terms)))
+    scope: dict = {}
+    exec(compile(source, f"<{algebra.__name__}.kernels[{k}]>", "exec"), scope)
+    return scope["kernel"]
 
 
-class _SumKernels(_Kernels):
-    """Sums of products, as a balanced tree of + whose depth is O(log k):
-    a chained sum of some thousand terms nests too deep to compile."""
-
-    times = "*"
-
-    def join(self, terms: list) -> str:
-        if len(terms) == 1:
-            return terms[0]
-        mid = len(terms) // 2
-        return f"({self.join(terms[:mid])} + {self.join(terms[mid:])})"
+def _warm(groups: tuple, algebras: tuple) -> None:
+    """Compile and cache each algebra's kernel of every term count that
+    `groups` has and its `kernels` table lacks."""
+    sizes = {len(lefts) for _dst, lefts, _rights in groups}
+    for algebra in algebras:
+        for k in sizes - algebra.kernels.keys():
+            algebra.kernels[k] = _kernel(algebra, k)
 
 
-class _MaxKernels(_Kernels):
-    """Maxima of sums."""
-
-    times = "+"
-
-    def join(self, terms: list) -> str:
-        return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
+def _sum_tree(terms: list) -> str:
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return f"({_sum_tree(terms[:mid])} + {_sum_tree(terms[mid:])})"
 
 
 class _CountAlgebra:
-    """Derivation counts; a pair the lexicon forbids counts 0."""
+    """Derivation counts; a pair the lexicon forbids counts 0.  A kernel
+    sums its products by a balanced tree of + whose depth is O(log k): a
+    chained sum of some thousand terms nests too deep to compile."""
 
-    kernels = _SumKernels()
+    kernels: dict = {}  # term count -> join kernel, filled by _warm
+    times = "*"
     zero = 0
+
+    @staticmethod
+    def join(terms: list) -> list:
+        return [f"return {_sum_tree(terms)}"]
 
     def __init__(self, lex: Optional[LexicalConstraint] = None):
         self.lex = lex
@@ -425,10 +424,21 @@ class _MaxAlgebra:
     W(A) ≥ 0 and |A| ≤ n² − n.  A set with a forbidden pair sums less than
     (W_total+1)·M1 over its legal arcs plus at least one forbidden key, so
     it lies below −M1: then the lexicon leaves no member of the family.
+
+    A kernel takes the maximum of its sums by a chain of compares, one
+    statement per term, and so builds no argument tuple and makes no call
+    to max().  On a tie it keeps the earlier term; equal keys have equal
+    masks and so equal arc sets, so which one it keeps does not matter.
     """
 
-    kernels = _MaxKernels()
+    kernels: dict = {}  # term count -> join kernel, filled by _warm
+    times = "+"
     zero = -math.inf
+
+    @staticmethod
+    def join(terms: list) -> list:
+        return [f"m = {terms[0]}", *(f"if (x := {t}) > m: m = x" for t in terms[1:]),
+                "return m"]
 
     def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):
         n = self.n = w.n
@@ -468,18 +478,22 @@ class _MaxAlgebra:
 _PROGRAMS: dict = {}  # (n, family) -> replay program
 
 
+def _cache(key: tuple, program: tuple) -> tuple:
+    """Cache `program` as the replay program of `key` = (n, family), with
+    the count and max kernels of each of its term counts, so no replay of
+    it compiles one."""
+    _warm(program[2], (_CountAlgebra, _MaxAlgebra))
+    _PROGRAMS[key] = program
+    return program
+
+
 def _program(n: int, req: Iterable = ()) -> tuple:
     """The cached replay program of (n, family), without the labels
-    `_compile` returns with it.  A program is cached with the count and max
-    kernels of each of its term counts, so no replay compiles one."""
+    `_compile` returns with it."""
     key = (n, frozenset(req))
     program = _PROGRAMS.get(key)
     if program is None:
-        program = _PROGRAMS[key] = _compile(*key)[0]
-        sizes = {len(lefts) for _dst, lefts, _rights in program[2]}
-        for kernels in (_CountAlgebra.kernels, _MaxAlgebra.kernels):
-            for k in sizes:
-                kernels[k]  # compiled and cached on first lookup
+        program = _cache(key, _compile(*key)[0])
     return program
 
 
@@ -489,7 +503,10 @@ def _replay(program: tuple, algebra) -> list:
     algebra's unrolled join for the group's term count.  The product
     distributes over the join, so joining the pairs of one P(a, b) before
     they meet their continuations keeps every value exact.  The last cell
-    is the answer, the join over the whole language."""
+    is the answer, the join over the whole language.
+
+    The kernels are read from the algebra's plain dict, which the
+    interpreter indexes fastest; `_cache` compiled those the program needs."""
     ncells, pair_cells, groups = program
     cells = [algebra.zero] * ncells
     cells[0] = algebra.empty()
@@ -535,8 +552,9 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     reach.
     """
     _check(n, lex)
-    program, (cell_keys, shared, groups, openers, finals) = _compile(n, req)
-    counts = _replay(program, _CountAlgebra(lex))
+    key = (n, frozenset(req))
+    program, (cell_keys, shared, groups, openers, finals) = _compile(*key)
+    counts = _replay(_cache(key, program), _CountAlgebra(lex))
 
     def count(c):
         return counts[shared[c]]

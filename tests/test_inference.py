@@ -474,7 +474,7 @@ def test_shared_program_keeps_repeated_terms(monkeypatch):
     from ncdigraph import inference
     from ncdigraph.cfg import TableDfa
     from ncdigraph.chains import FORWARD
-    from ncdigraph.inference import _compile, _CountAlgebra, _replay
+    from ncdigraph.inference import _compile, _CountAlgebra, _replay, _warm
     from ncdigraph.latent import BOUNDARY_CLOSE, BOUNDARY_OPEN, alphabet
 
     symbols = alphabet()
@@ -491,6 +491,7 @@ def test_shared_program_keeps_repeated_terms(monkeypatch):
     assert program == (4, ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)), (3, (2,), (0,))))
     [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
     assert len(set(zip(lefts, rights))) == 2
+    _warm(program[2], (_CountAlgebra,))
     assert _replay(program, _CountAlgebra())[2:] == [2, 2]
 
 
@@ -501,7 +502,7 @@ def test_join_kernels_replay_long_and_single_groups():
     # value is the join computed here, under both algebras, and a kernel is
     # compiled once per term count and shared by the algebra's instances
     from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
-    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay, _warm
 
     n, rng = 6, random.Random(59)
     pairs = tuple((1 + i, o, u, v) for i, (o, u, v) in enumerate(
@@ -520,6 +521,7 @@ def test_join_kernels_replay_long_and_single_groups():
         want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
         for _dst, lefts, rights in groups:
             want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
+        _warm(program[2], (type(alg),))
         assert _replay(program, alg) == want
         assert alg.kernels[5000] is alg.kernels[5000] is type(alg).kernels[5000]
         assert alg.kernels[1] is alg.kernels[1]
@@ -536,19 +538,95 @@ def test_shared_program_sizes():
         1_600, 1_491, 11_952)
 
 
-def test_cached_program_comes_with_its_kernels():
+def test_cached_program_comes_with_its_kernels(monkeypatch):
     # caching a program compiles the count and max kernels of every term
     # count it has, the root's included, so no replay compiles one
-    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _PROGRAMS
+    from ncdigraph import inference
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra
 
     fam = parse_property_set("mixed-tree")
-    _PROGRAMS.pop((8, fam), None)
-    _CountAlgebra.kernels.clear()
-    _MaxAlgebra.kernels.clear()
+    monkeypatch.setattr(inference, "_PROGRAMS", {})
+    monkeypatch.setattr(_CountAlgebra, "kernels", {})
+    monkeypatch.setattr(_MaxAlgebra, "kernels", {})
     count_family_strings(8, fam)
-    sizes = {len(lefts) for _dst, lefts, _rights in _PROGRAMS[8, fam][2]}
+    sizes = {len(lefts) for _dst, lefts, _rights in inference._PROGRAMS[8, fam][2]}
     assert len(sizes) > 1
     assert sizes <= set(_CountAlgebra.kernels) and sizes <= set(_MaxAlgebra.kernels)
+
+
+# max keys with many ties: the zero, two forbidden-size keys and small and
+# wide legal ones; a count cell holds 0 where a max cell holds the zero
+_KEY_POOL = (-math.inf, -(7 << 90), -(7 << 90) + 1, 0, 1, 2, 3, 1 << 64, (1 << 64) + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_join_kernels_match_the_builtin_joins(data):
+    # for each term count k: up to 8 cells drawn from the pool, then one
+    # cell above every pool key and one legal 0, and k terms over them; the
+    # top term (top, 0) goes first, last, at every third term or nowhere,
+    # so the maximum is met at either end and in ties
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _warm
+
+    for k in range(1, 65):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        keys = rng.choices(_KEY_POOL, k=rng.randrange(1, 9))
+        top, zero = len(keys), len(keys) + 1
+        keys += [1 << 100, 0]
+        lefts = [rng.randrange(len(keys)) for _ in range(k)]
+        rights = [rng.randrange(len(keys)) for _ in range(k)]
+        where = data.draw(st.sampled_from(("first", "last", "every third", "nowhere")))
+        for i in {"first": [0], "last": [k - 1], "every third": range(0, k, 3), "nowhere": []}[where]:
+            lefts[i], rights[i] = top, zero
+        counts = [0 if key == -math.inf else key for key in keys]
+        lefts, rights = tuple(lefts), tuple(rights)
+        _warm(((0, lefts, rights),), (_CountAlgebra, _MaxAlgebra))
+        assert _MaxAlgebra.kernels[k](keys, lefts, rights) == max(
+            keys[a] + keys[b] for a, b in zip(lefts, rights)), (k, where)
+        assert _CountAlgebra.kernels[k](counts, lefts, rights) == sum(
+            counts[a] * counts[b] for a, b in zip(lefts, rights)), (k, where)
+
+
+def test_generated_max_kernels_call_no_max():
+    # the max join is a chain of compares, not a call of the builtin
+    import dis
+
+    from ncdigraph.inference import _kernel, _MaxAlgebra
+
+    for k in (1, 2, 7, 64):
+        code = _kernel(_MaxAlgebra, k).__code__
+        assert "max" not in code.co_names
+        assert sum(i.opname == "COMPARE_OP" for i in dis.get_instructions(code)) == k - 1
+
+
+def test_cold_kernel_tables_fill_before_any_parse(monkeypatch):
+    # with both kernel tables empty and a key not cached, the grammar, the
+    # count and the parse all run and give what a warm run gives, and the
+    # count and the parse compile nothing: the grammar cached its program
+    # with its kernels
+    from ncdigraph import inference
+
+    fam, n = parse_property_set("polytree"), 7
+    rng = random.Random(67)
+    w, lex = random_weights(rng, n), _random_lexicon(rng, n)
+
+    monkeypatch.setattr(inference, "_PROGRAMS", {})
+    monkeypatch.setattr(inference._CountAlgebra, "kernels", {})
+    monkeypatch.setattr(inference._MaxAlgebra, "kernels", {})
+    grammar = build_intersection_grammar(n, fam, lex)
+    made = []
+    for name in ("_compile", "_kernel"):
+        made_by = getattr(inference, name)
+        monkeypatch.setattr(inference, name,
+                            lambda *args, f=made_by: made.append(args) or f(*args))
+    count = count_family_strings(n, fam, lex)
+    parse = parse_max(w, fam)
+    assert made == []
+    monkeypatch.undo()
+    # a warm run: a fresh compile, with every kernel already made
+    inference._PROGRAMS.pop((n, fam), None)
+    assert (grammar, count, parse) == (build_intersection_grammar(n, fam, lex),
+                                       count_family_strings(n, fam, lex), parse_max(w, fam))
 
 
 def test_empty_family_program_has_no_root():
