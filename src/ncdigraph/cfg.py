@@ -164,9 +164,7 @@ class TableDfa(Dfa):
     @classmethod
     def compile(cls, dfa: Dfa, symbols: Sequence) -> "TableDfa":
         """Tabulate the states of `dfa` reachable over `symbols` breadth
-        first and merge equivalent ones by Moore refinement.  The dead state
-        takes part as state 0 (block 0), so the states that cannot reach a
-        final state merge into it; block b > 0 becomes state b - 1."""
+        first and minimize them (`_minimal`)."""
         symbols = tuple(symbols)
         ids = {dfa.start: 1}
         order = [dfa.start]
@@ -181,7 +179,50 @@ class TableDfa(Dfa):
                         order.append(q2)
                     row.append((a, ids[q2]))
             arcs.append(row)
-        final = [False] + [dfa.is_final(q) for q in order]
+        return cls._minimal(symbols, arcs, [False] + [dfa.is_final(q) for q in order])
+
+    def product(self, other: "TableDfa") -> "TableDfa":
+        """The minimal table of the intersection of two tables over the
+        same symbols: the pairs of states reachable breadth first, with a
+        move on each column where both tables have one, minimized
+        (`_minimal`)."""
+        if other.symbols != self.symbols:
+            raise ValueError("product of tables over different symbols")
+        ny = len(other.delta)
+        live = [[(a, x2) for a, x2 in enumerate(row) if x2 >= 0] for row in self.delta]
+        ids = [0] * (len(self.delta) * ny)  # pair x·ny + y -> state, 0 if unseen
+        ids[0] = 1
+        order = [0]
+        arcs = [[]]
+        for xy in order:  # grows while it is walked: breadth-first
+            x, y = divmod(xy, ny)
+            row_y = other.delta[y]
+            row = []
+            for a, x2 in live[x]:
+                y2 = row_y[a]
+                if y2 >= 0:
+                    k = x2 * ny + y2
+                    q2 = ids[k]
+                    if not q2:
+                        q2 = ids[k] = len(order) + 1
+                        order.append(k)
+                    row.append((a, q2))
+            arcs.append(row)
+        final = [False] + [self.final[xy // ny] and other.final[xy % ny] for xy in order]
+        return self._minimal(self.symbols, arcs, final)
+
+    @classmethod
+    def _minimal(cls, symbols: tuple, arcs: list, final: list) -> "TableDfa":
+        """The minimal table of a tabulated recognizer whose state 1 is the
+        start, its other states numbered breadth first: arcs[q] lists the
+        (symbol index, successor) of each live move of state q, and
+        final[q] flags the accepting ones.  Moore refinement merges
+        equivalent states.  The dead state takes part as state 0 (block
+        0), so the states that cannot reach a final state merge into it;
+        block b > 0 becomes state b - 1.  Blocks are numbered by their
+        first state in breadth-first order, so the numbering is the
+        minimal recognizer's breadth-first order, whatever table it was
+        minimized from."""
         block = [int(f) for f in final]
         nblocks = 0
         while nblocks < len(set(block)):

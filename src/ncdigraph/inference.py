@@ -57,12 +57,12 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .cfg import Grammar, ProductDfa, TableDfa
+from .cfg import Grammar, TableDfa
 from .chains import BACKWARD, BIDIRECTIONAL, FORWARD
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
 from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, CLOSER_BASE, OPENER_BASE,
-                     LatentBracket, alphabet, constraint_dfa, reg_lat)
+                     LatentBracket, constraint_dfa, partners, reg_lat)
 
 
 class NoParseError(ValueError):
@@ -132,8 +132,10 @@ def family_automaton(req: frozenset) -> TableDfa:
     """Minimal table of Reg_lat ∩ (the constraints in `req`) over the latent
     alphabet.  It knows no vertex count and no lexicon, so one table serves
     the family at every n."""
-    comps = [reg_lat()] + [constraint_dfa(p) for p in sorted(req, key=lambda p: p.value)]
-    return TableDfa.compile(ProductDfa(comps), alphabet())
+    auto = reg_lat()
+    for p in sorted(req, key=lambda p: p.value):
+        auto = auto.product(constraint_dfa(p))
+    return auto
 
 
 def _moves(auto: TableDfa) -> tuple:
@@ -142,7 +144,8 @@ def _moves(auto: TableDfa) -> tuple:
     closer)."""
     lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
     boundary = [-1 if row[lb] < 0 else auto.delta[row[lb]][rb] for row in auto.delta]
-    openers = [[(b, q2, auto.index[b.partner()])
+    partner, index = partners(), auto.index
+    openers = [[(b, q2, index[partner[b]])
                 for b, q2 in zip(auto.symbols, row) if q2 >= 0 and b.is_opener]
                for row in auto.delta]
     return boundary, openers
@@ -174,10 +177,11 @@ def _live(n: int, auto: TableDfa, boundary: list, openers: list) -> list:
     return live
 
 
-def _compile(n: int, req: Iterable = ()):
-    """The reduced span DP over (vertex, state) nodes for one (n, family)
-    as one program of grouped joins, independent of weights and lexicon:
-    the states come from the family table, the vertices from the chart.
+def _compile(n: int, auto: TableDfa):
+    """The reduced span DP over (vertex, state) nodes for n vertices and
+    the family table `auto` as one program of grouped joins, independent
+    of weights and lexicon: the states come from the table, the vertices
+    from the chart.
     Returns (program, (cell_keys, shared, groups, openers, finals)):
 
     - program = (ncells, pair_cells, groups), the hash-consed reduced chart
@@ -220,7 +224,6 @@ def _compile(n: int, req: Iterable = ()):
     they made.  The root group comes after this pass, so no cell is
     merged into the answer.
     """
-    auto = family_automaton(frozenset(req))
     delta = auto.delta
     boundary, moves = _moves(auto)
     live = _live(n, auto, boundary, moves)
@@ -493,7 +496,7 @@ def _program(n: int, req: Iterable = ()) -> tuple:
     key = (n, frozenset(req))
     program = _PROGRAMS.get(key)
     if program is None:
-        program = _cache(key, _compile(*key)[0])
+        program = _cache(key, _compile(n, family_automaton(key[1]))[0])
     return program
 
 
@@ -535,6 +538,31 @@ def count_family_strings(n: int, req: Iterable = (), lex: Optional[LexicalConstr
     return _replay(_program(n, req), _CountAlgebra(lex))[-1]
 
 
+def count_up_sets(n: int, props: Iterable) -> dict:
+    """{req: count_family_strings(n, req)} for every subset req of
+    `props`: the up-set families, each the digraphs that have at least
+    the properties of req.  The subsets are walked depth first, adding
+    properties in `p.value` order, so each family's table is its parent's
+    table times one constraint table, as `family_automaton` folds it.
+    Only the tables on the current path and the one program being counted
+    are alive at a time, and none is cached: 2^|props| families would
+    otherwise leave 2^|props| tables and programs behind."""
+    _check(n, None)
+    props = sorted(set(props), key=lambda p: p.value)
+    counts: dict = {}
+
+    def walk(req: frozenset, auto: TableDfa, first: int) -> None:
+        program = _compile(n, auto)[0]
+        _warm(program[2], (_CountAlgebra,))
+        counts[req] = _replay(program, _CountAlgebra())[-1]
+        del program
+        for i in range(first, len(props)):
+            walk(req | {props[i]}, auto.product(constraint_dfa(props[i])), i + 1)
+
+    walk(frozenset(), reg_lat(), 0)
+    return counts
+
+
 def build_intersection_grammar(n: int, req: Iterable = (),
                                lex: Optional[LexicalConstraint] = None) -> Grammar:
     """Materialized Bar-Hillel product grammar for the family language,
@@ -553,7 +581,8 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     """
     _check(n, lex)
     key = (n, frozenset(req))
-    program, (cell_keys, shared, groups, openers, finals) = _compile(*key)
+    program, (cell_keys, shared, groups, openers, finals) = _compile(
+        n, family_automaton(key[1]))
     counts = _replay(_cache(key, program), _CountAlgebra(lex))
 
     def count(c):
@@ -564,6 +593,7 @@ def build_intersection_grammar(n: int, req: Iterable = (),
         return ("P" if kind == "P" else "S", a, b)
 
     start = ("S0",)
+    partner = partners()
     productions = set()
     reached = bytearray(len(cell_keys))
     for _qf, c in finals:
@@ -584,10 +614,10 @@ def build_intersection_grammar(n: int, req: Iterable = (),
             elif (o := pair_openers[i]) is None:
                 rhs = (BOUNDARY_OPEN, BOUNDARY_CLOSE)
             elif cell_keys[right][0] == "{}":
-                rhs = (o, BOUNDARY_OPEN, BOUNDARY_CLOSE, o.partner())
+                rhs = (o, BOUNDARY_OPEN, BOUNDARY_CLOSE, partner[o])
             else:
                 reached[right] = 1
-                rhs = (o, nt(right), o.partner())
+                rhs = (o, nt(right), partner[o])
             productions.add((nt(dst), rhs))
     productions.update((nt(c), ()) for c, (kind, a, b) in enumerate(cell_keys)
                        if reached[c] and kind == "S" and a == b)

@@ -145,12 +145,21 @@ def alphabet() -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def partners() -> dict:
+    """{bracket: its partner} over alphabet(), built once; each partner is
+    the alphabet's own object, so a lookup builds no bracket."""
+    own = {b: b for b in alphabet()}
+    return {b: own[b.partner()] for b in alphabet()}
+
+
 def d55() -> DyckSpec:
     """Dyck language over annotated bracket pairs plus the boundary pair."""
     pairs = [(BOUNDARY_OPEN, BOUNDARY_CLOSE)]
+    partner = partners()
     for b in alphabet():
         if b.is_opener:
-            pairs.append((b, b.partner()))
+            pairs.append((b, partner[b]))
     return DyckSpec(tuple(pairs))
 
 

@@ -2,19 +2,20 @@
 lattice construction and family counting.
 
 A family count is the size of the family's language on the inference chart,
-so counting enumerates nothing.  The lattice lists every digraph's exact
-signature and is built by enumeration.
+so counting enumerates nothing.  The lattice lists the exact-signature
+classes of the digraphs; it is read from the 64 up-set family counts by
+Möbius inversion, so it enumerates nothing either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
-from .digraphs import (ALL_PROPERTIES, Digraph, PropertyId, check_property,
-                       enumerate_noncrossing_digraphs)
-from .inference import count_family_strings
+from .digraphs import ALL_PROPERTIES, Digraph, PropertyId, check_property
+from .inference import count_family_strings, count_up_sets
 
 # The six properties of the ontology figure, in signature-letter order.
 SIX_PROPERTIES = (PropertyId.CONN_W, PropertyId.UNAMB_S, PropertyId.ORIENTED,
@@ -81,12 +82,25 @@ def classify(g: Digraph) -> frozenset:
 @lru_cache(maxsize=None)
 def build_lattice(n: int) -> Lattice:
     """The exact-signature classes of the n-vertex digraphs over the six
-    properties, by enumeration, ordered by signature size and letters, with
-    the Hasse edges of strict signature inclusion."""
+    properties, ordered by signature size and letters, with the Hasse
+    edges of strict signature inclusion.
+
+    A family that requires the properties of sig is an up-set: its chart
+    count up[sig] sums the exact counts of every signature above sig.
+    Möbius inversion over the subset lattice (Rota 1964) recovers the
+    exact count of sig as the sum over the subsets R of the properties sig
+    lacks of (-1)^|R| · up[sig ∪ R], so 64 chart counts give the lattice
+    and no digraph is enumerated.  The classes are the signatures whose
+    exact count is nonzero."""
+    up = count_up_sets(n, SIX_PROPERTIES)
     counts: dict = {}
-    for g in enumerate_noncrossing_digraphs(n):
-        sig = frozenset(p for p in SIX_PROPERTIES if check_property(g, p))
-        counts[sig] = counts.get(sig, 0) + 1
+    for sig in up:
+        missing = [p for p in SIX_PROPERTIES if p not in sig]
+        count = sum((-1) ** k * up[sig.union(rest)]
+                    for k in range(len(missing) + 1)
+                    for rest in combinations(missing, k))
+        if count:
+            counts[sig] = count
     classes = tuple(FamilyClass(sig, count, FAMILY_NAMES.get(sig))
                     for sig, count in sorted(counts.items(), key=lambda kv: (
                         len(kv[0]), signature_string(kv[0]))))

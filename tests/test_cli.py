@@ -129,6 +129,15 @@ def test_lattice_tsv(capsys):
     assert all(len(r[0]) == 6 for r in rows)
 
 
+def test_lattice_without_vertices_exit_1(capsys):
+    # the chart's vertex-count check rejects these before any count
+    for n in ("0", "-3"):
+        status, out, err = invoke(capsys, "lattice", "-n", n)
+        assert status == 1
+        assert out == ""
+        assert err == f"error: vertex count must be at least 1, got {n}\n"
+
+
 def test_parse_command(tmp_path, capsys):
     f = tmp_path / "w.txt"
     f.write_text("n 3\n1 2 5\n2 3 4\n2 1 3\n")

@@ -218,6 +218,48 @@ def test_family_automaton_minimal_state_counts():
     assert got == want
 
 
+def test_family_automaton_is_the_minimal_product():
+    # folding integer-table products gives the very table that minimizing
+    # the symbol-by-symbol product of the recognizers gives: the same delta
+    # and the same final, for the 64 ontology families and a few with INV
+    # or PROJ_W, the empty {INV, ORIENTED, CONN_W} among them
+    from itertools import combinations
+
+    from ncdigraph.cfg import ProductDfa, TableDfa
+    from ncdigraph.latent import alphabet, constraint_dfa, reg_lat
+    from ncdigraph.ontology import SIX_PROPERTIES
+
+    empty = frozenset({PropertyId.INV, PropertyId.ORIENTED, PropertyId.CONN_W})
+    fams = [frozenset(c) for k in range(7) for c in combinations(SIX_PROPERTIES, k)]
+    fams += [frozenset({PropertyId.INV}), frozenset({PropertyId.PROJ_W}), empty,
+             parse_property_set("INV,CONN_W,ACYC_U"), parse_property_set("PROJ_W,OUT,ACYC_D"),
+             frozenset(PropertyId)]
+    for fam in fams:
+        comps = [reg_lat()] + [constraint_dfa(p) for p in sorted(fam, key=lambda p: p.value)]
+        want = TableDfa.compile(ProductDfa(comps), alphabet())
+        got = family_automaton(fam)
+        assert (got.delta, got.final) == (want.delta, want.final), sorted(p.value for p in fam)
+    assert family_automaton(empty).delta == ((-1,) * len(alphabet()),)
+
+
+def test_count_up_sets_equals_the_family_counts():
+    # every up-set count of the depth-first walk is the family's chart
+    # count, and the walk caches no table and no program
+    from ncdigraph import inference
+    from ncdigraph.inference import count_up_sets
+    from ncdigraph.ontology import SIX_PROPERTIES
+
+    for n in range(1, 7):
+        programs = dict(inference._PROGRAMS)
+        tables = family_automaton.cache_info().currsize
+        up = count_up_sets(n, SIX_PROPERTIES)
+        assert inference._PROGRAMS == programs
+        assert family_automaton.cache_info().currsize == tables
+        assert len(up) == 64
+        for req, count in up.items():
+            assert count == count_family_strings(n, req), (n, sorted(p.value for p in req))
+
+
 def test_family_automaton_is_built_once_per_family():
     # the table knows no n and no lexicon: one build serves them all
     from ncdigraph.inference import _PROGRAMS
@@ -398,7 +440,7 @@ def test_compiled_program_leaves_no_dead_value():
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, (keys, shared, groups, openers, finals) = _compile(n, fam)
+            _prog, (keys, shared, groups, openers, finals) = _compile(n, family_automaton(fam))
             labelled, empty, kept = _kept_program(keys, shared, groups, finals)
             cells = _labelled_values(_CountAlgebra(), keys, groups)
             assert len(shared) == len(keys) == len(cells)
@@ -431,7 +473,7 @@ def test_shared_program_gives_the_unshared_values():
 
     rng = random.Random(47)
     for fam, n in _SHARED_CASES:
-        program, (keys, shared, groups, _openers, finals) = _compile(n, fam)
+        program, (keys, shared, groups, _openers, finals) = _compile(n, family_automaton(fam))
         assert program == _program(n, fam)
         assert program[2][-1] == (program[0] - 1, tuple(shared[c] for _qf, c in finals),
                                   (0,) * len(finals))
@@ -465,13 +507,12 @@ def test_shared_program_is_maximally_shared():
         assert root == ncells - 1 and finals and identities == (0,) * len(finals)
 
 
-def test_shared_program_keeps_repeated_terms(monkeypatch):
+def test_shared_program_keeps_repeated_terms():
     # two joins that become the same term after sharing are both kept, so a
     # count replay still counts each derivation.  No family table makes
     # such a chart, so a hand-made one does: two forward openers, each
     # followed by its own boundary pair and its own closer into one final
     # state, give P(1, 2) two labelled terms that share to one
-    from ncdigraph import inference
     from ncdigraph.cfg import TableDfa
     from ncdigraph.chains import FORWARD
     from ncdigraph.inference import _compile, _CountAlgebra, _replay, _warm
@@ -484,8 +525,7 @@ def test_shared_program_keeps_repeated_terms(monkeypatch):
     table = TableDfa(symbols, tuple(tuple(moves.get((q, b), -1) for b in symbols)
                                     for q in range(8)),
                      tuple(q == 4 for q in range(8)))
-    monkeypatch.setattr(inference, "family_automaton", lambda req: table)
-    program, (keys, shared, groups, _openers, _finals) = _compile(2)
+    program, (keys, shared, groups, _openers, _finals) = _compile(2, table)
     # cell 0 is the identity, 1 the pair, 2 joins it with each boundary pair
     # and 3, the answer, joins the one final with the identity
     assert program == (4, ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)), (3, (2,), (0,))))
@@ -689,11 +729,11 @@ def test_pair_fold_has_the_grammar_shape():
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, (keys, shared, _groups, _openers, _finals) = _compile(n, fam)
+            _prog, (keys, shared, _groups, _openers, _finals) = _compile(n, family_automaton(fam))
             g = build_intersection_grammar(n, fam)
             p_lhs = {lhs for lhs, _rhs in g.productions if lhs[0] == "P"}
             assert len(p_lhs) == sum(key[0] == "P" and s >= 0 for key, s in zip(keys, shared))
-    _prog, (keys, shared, groups, _openers, _finals) = _compile(9)
+    _prog, (keys, shared, groups, _openers, _finals) = _compile(9, family_automaton(frozenset()))
     joins = sum(len(lefts) for dst, (lefts, _rights) in groups.items()
                 if shared[dst] >= 0 and keys[dst][0] != "P")
     # 169,631 before the fold, 25,639 before the trim to the reduced chart
