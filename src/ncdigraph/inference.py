@@ -32,12 +32,14 @@ integer counts) and max-weight parsing (a replay with integer max-plus
 keys).  A replay sets each group's cell with one call to the algebra's join
 kernel for the group's term count, a function that writes the k products
 and their join out term by term: a balanced sum for counts, a chain of
-compares for max keys.  It is generated and compiled when a program with
-a group of k terms is cached, and kept in the algebra's plain dict.
+compares for max keys.  The replay compiles it: the first replay under an
+algebra that meets a group of k terms generates the kernel and keeps it in
+the algebra's plain dict, so a count compiles no max kernel and a parse no
+count kernel.
 Grammar materialization reads the productions off the compiler's labelled
 groups, and each labelled cell's count off its shared cell in one count
 replay; it caches the program it compiled, so a later count or parse of the
-same (n, family) compiles nothing.
+same (n, family) compiles no program.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -357,7 +359,8 @@ def _kernel(algebra: type, k: int):
     is the join over i < k of c[L[i]] ⊗ c[R[i]], written out term by term,
     so a group costs one call and no iterator.  The algebra gives the
     product operator `times` and `join(terms)`, the statements that join
-    the source of k terms and return the result."""
+    the source of k terms and return the result.  `_replay` calls it for
+    each term count its algebra's `kernels` lacks."""
     terms = [_TERM.format(i=i, times=algebra.times) for i in range(k)]
     source = _KERNEL.format(lefts=", ".join(f"l{i}" for i in range(k)),
                             rights=", ".join(f"r{i}" for i in range(k)),
@@ -365,15 +368,6 @@ def _kernel(algebra: type, k: int):
     scope: dict = {}
     exec(compile(source, f"<{algebra.__name__}.kernels[{k}]>", "exec"), scope)
     return scope["kernel"]
-
-
-def _warm(groups: tuple, algebras: tuple) -> None:
-    """Compile and cache each algebra's kernel of every term count that
-    `groups` has and its `kernels` table lacks."""
-    sizes = {len(lefts) for _dst, lefts, _rights in groups}
-    for algebra in algebras:
-        for k in sizes - algebra.kernels.keys():
-            algebra.kernels[k] = _kernel(algebra, k)
 
 
 def _sum_tree(terms: list) -> str:
@@ -388,7 +382,7 @@ class _CountAlgebra:
     sums its products by a balanced tree of + whose depth is O(log k): a
     chained sum of some thousand terms nests too deep to compile."""
 
-    kernels: dict = {}  # term count -> join kernel, filled by _warm
+    kernels: dict = {}  # term count -> join kernel, filled by _replay
     times = "*"
     zero = 0
 
@@ -434,7 +428,7 @@ class _MaxAlgebra:
     masks and so equal arc sets, so which one it keeps does not matter.
     """
 
-    kernels: dict = {}  # term count -> join kernel, filled by _warm
+    kernels: dict = {}  # term count -> join kernel, filled by _replay
     times = "+"
     zero = -math.inf
 
@@ -481,22 +475,13 @@ class _MaxAlgebra:
 _PROGRAMS: dict = {}  # (n, family) -> replay program
 
 
-def _cache(key: tuple, program: tuple) -> tuple:
-    """Cache `program` as the replay program of `key` = (n, family), with
-    the count and max kernels of each of its term counts, so no replay of
-    it compiles one."""
-    _warm(program[2], (_CountAlgebra, _MaxAlgebra))
-    _PROGRAMS[key] = program
-    return program
-
-
 def _program(n: int, req: Iterable = ()) -> tuple:
     """The cached replay program of (n, family), without the labels
     `_compile` returns with it."""
     key = (n, frozenset(req))
     program = _PROGRAMS.get(key)
     if program is None:
-        program = _cache(key, _compile(n, family_automaton(key[1]))[0])
+        program = _PROGRAMS[key] = _compile(n, family_automaton(key[1]))[0]
     return program
 
 
@@ -509,15 +494,26 @@ def _replay(program: tuple, algebra) -> list:
     is the answer, the join over the whole language.
 
     The kernels are read from the algebra's plain dict, which the
-    interpreter indexes fastest; `_cache` compiled those the program needs."""
+    interpreter indexes fastest.  A replay that meets a term count the dict
+    lacks compiles the algebra's kernel of every term count the program has
+    and the dict lacks, then replays again, so an algebra compiles only the
+    kernels of the programs it runs."""
     ncells, pair_cells, groups = program
     cells = [algebra.zero] * ncells
     cells[0] = algebra.empty()
     for c, o, u, v in pair_cells:
         cells[c] = algebra.pair(o, u, v)
     kernels = algebra.kernels
-    for dst, lefts, rights in groups:
-        cells[dst] = kernels[len(lefts)](cells, lefts, rights)
+    try:
+        for dst, lefts, rights in groups:
+            cells[dst] = kernels[len(lefts)](cells, lefts, rights)
+    except KeyError:
+        missing = {len(lefts) for _dst, lefts, _rights in groups} - kernels.keys()
+        if not missing:
+            raise
+        for k in missing:
+            kernels[k] = _kernel(type(algebra), k)
+        return _replay(program, algebra)
     return cells
 
 
@@ -552,10 +548,7 @@ def count_up_sets(n: int, props: Iterable) -> dict:
     counts: dict = {}
 
     def walk(req: frozenset, auto: TableDfa, first: int) -> None:
-        program = _compile(n, auto)[0]
-        _warm(program[2], (_CountAlgebra,))
-        counts[req] = _replay(program, _CountAlgebra())[-1]
-        del program
+        counts[req] = _replay(_compile(n, auto)[0], _CountAlgebra())[-1]
         for i in range(first, len(props)):
             walk(req | {props[i]}, auto.product(constraint_dfa(props[i])), i + 1)
 
@@ -577,13 +570,15 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     final gives S0 → S.  A labelled cell counts what its shared cell counts
     in one replay of the program.  The joins, pairs and finals that count 0
     under the lexicon are left out, and so is every nonterminal only they
-    reach.
+    reach.  The productions come in the order the walk meets them, which
+    depends on no hash seed: it walks ints and insertion-ordered dicts.
     """
     _check(n, lex)
     key = (n, frozenset(req))
     program, (cell_keys, shared, groups, openers, finals) = _compile(
         n, family_automaton(key[1]))
-    counts = _replay(_cache(key, program), _CountAlgebra(lex))
+    _PROGRAMS[key] = program
+    counts = _replay(program, _CountAlgebra(lex))
 
     def count(c):
         return counts[shared[c]]
@@ -594,12 +589,12 @@ def build_intersection_grammar(n: int, req: Iterable = (),
 
     start = ("S0",)
     partner = partners()
-    productions = set()
+    productions: dict = {}  # an ordered set, in walk order
     reached = bytearray(len(cell_keys))
     for _qf, c in finals:
         if count(c):
             reached[c] = 1
-            productions.add((start, (nt(c),)))
+            productions[start, (nt(c),)] = None
     # a group reads only earlier cells, so a backward pass reaches them all
     for dst, (lefts, rights) in reversed(groups.items()):
         if not reached[dst]:
@@ -618,14 +613,14 @@ def build_intersection_grammar(n: int, req: Iterable = (),
             else:
                 reached[right] = 1
                 rhs = (o, nt(right), partner[o])
-            productions.add((nt(dst), rhs))
-    productions.update((nt(c), ()) for c, (kind, a, b) in enumerate(cell_keys)
-                       if reached[c] and kind == "S" and a == b)
+            productions[nt(dst), rhs] = None
+    productions.update(dict.fromkeys((nt(c), ()) for c, (kind, a, b) in enumerate(cell_keys)
+                                     if reached[c] and kind == "S" and a == b))
     if not productions:
         # empty language: the start expands only to an unproductive marker
-        productions.add((start, (("DEAD",),)))
-        productions.add((("DEAD",), (("DEAD",),)))
-    return Grammar(start, tuple(sorted(productions, key=repr)))
+        productions[start, (("DEAD",),)] = None
+        productions[("DEAD",), (("DEAD",),)] = None
+    return Grammar(start, tuple(productions))
 
 
 def parse_max(w: WeightMatrix, req: Iterable = (),

@@ -261,8 +261,18 @@ def _annotate(g: Digraph) -> tuple:
     return items, info
 
 
+@lru_cache(maxsize=None)
+def _bracket_of_fields() -> dict:
+    """{(base, chain, primed, cover): bracket} over alphabet()."""
+    return {(b.base, b.chain, b.primed, b.cover): b for b in alphabet()}
+
+
 def latent_encode(g: Digraph) -> LatentString:
+    """The latent string of g, made of alphabet()'s own brackets, as
+    parse_latent's are, so a table lookup of it finds each one by identity
+    and never falls through to the dataclass equality."""
     items, info = _annotate(g)
+    bracket_of = _bracket_of_fields()
     out = []
     for it in items:
         if it[0] == "sep":
@@ -273,7 +283,7 @@ def latent_encode(g: Digraph) -> LatentString:
             orient = _orientation(g, *e)
             base = OPENER_BASE[orient] if it[0] == "open" else CLOSER_BASE[orient]
             chain = LOOSE if rec.loose else rec.state.name
-            out.append(LatentBracket(base, chain, rec.primed, rec.cover))
+            out.append(bracket_of[base, chain, rec.primed, rec.cover])
     return tuple(out)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -515,7 +516,7 @@ def test_shared_program_keeps_repeated_terms():
     # state, give P(1, 2) two labelled terms that share to one
     from ncdigraph.cfg import TableDfa
     from ncdigraph.chains import FORWARD
-    from ncdigraph.inference import _compile, _CountAlgebra, _replay, _warm
+    from ncdigraph.inference import _compile, _CountAlgebra, _replay
     from ncdigraph.latent import BOUNDARY_CLOSE, BOUNDARY_OPEN, alphabet
 
     symbols = alphabet()
@@ -531,7 +532,6 @@ def test_shared_program_keeps_repeated_terms():
     assert program == (4, ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)), (3, (2,), (0,))))
     [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
     assert len(set(zip(lefts, rights))) == 2
-    _warm(program[2], (_CountAlgebra,))
     assert _replay(program, _CountAlgebra())[2:] == [2, 2]
 
 
@@ -542,7 +542,7 @@ def test_join_kernels_replay_long_and_single_groups():
     # value is the join computed here, under both algebras, and a kernel is
     # compiled once per term count and shared by the algebra's instances
     from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
-    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay, _warm
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay
 
     n, rng = 6, random.Random(59)
     pairs = tuple((1 + i, o, u, v) for i, (o, u, v) in enumerate(
@@ -561,7 +561,6 @@ def test_join_kernels_replay_long_and_single_groups():
         want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
         for _dst, lefts, rights in groups:
             want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
-        _warm(program[2], (type(alg),))
         assert _replay(program, alg) == want
         assert alg.kernels[5000] is alg.kernels[5000] is type(alg).kernels[5000]
         assert alg.kernels[1] is alg.kernels[1]
@@ -578,25 +577,51 @@ def test_shared_program_sizes():
         1_600, 1_491, 11_952)
 
 
-def test_cached_program_comes_with_its_kernels(monkeypatch):
-    # caching a program compiles the count and max kernels of every term
-    # count it has, the root's included, so no replay compiles one
+def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
+    # with both kernel tables empty, a count compiles the count kernel of
+    # every term count of its program, the root's included, and no max
+    # kernel; the first parse then compiles the max kernels, and a second
+    # count and a second parse compile none
     from ncdigraph import inference
     from ncdigraph.inference import _CountAlgebra, _MaxAlgebra
 
-    fam = parse_property_set("mixed-tree")
+    fam, n = parse_property_set("mixed-tree"), 8
+    w = random_weights(random.Random(71), n)
     monkeypatch.setattr(inference, "_PROGRAMS", {})
     monkeypatch.setattr(_CountAlgebra, "kernels", {})
     monkeypatch.setattr(_MaxAlgebra, "kernels", {})
-    count_family_strings(8, fam)
-    sizes = {len(lefts) for _dst, lefts, _rights in inference._PROGRAMS[8, fam][2]}
+    made = []
+    kernel = inference._kernel
+    monkeypatch.setattr(inference, "_kernel",
+                        lambda algebra, k: made.append((algebra, k)) or kernel(algebra, k))
+    count = count_family_strings(n, fam)
+    sizes = {len(lefts) for _dst, lefts, _rights in inference._PROGRAMS[n, fam][2]}
     assert len(sizes) > 1
-    assert sizes <= set(_CountAlgebra.kernels) and sizes <= set(_MaxAlgebra.kernels)
+    assert sorted(k for _alg, k in made) == sorted(sizes)
+    assert {alg for alg, _k in made} == {_CountAlgebra}
+    assert set(_CountAlgebra.kernels) == sizes and _MaxAlgebra.kernels == {}
+    made.clear()
+    parse = parse_max(w, fam)
+    assert sorted(k for _alg, k in made) == sorted(sizes)
+    assert {alg for alg, _k in made} == {_MaxAlgebra}
+    assert set(_MaxAlgebra.kernels) == sizes
+    made.clear()
+    assert (count_family_strings(n, fam), parse_max(w, fam)) == (count, parse)
+    assert made == []
 
 
 # max keys with many ties: the zero, two forbidden-size keys and small and
 # wide legal ones; a count cell holds 0 where a max cell holds the zero
 _KEY_POOL = (-math.inf, -(7 << 90), -(7 << 90) + 1, 0, 1, 2, 3, 1 << 64, (1 << 64) + 1)
+
+
+@lru_cache(maxsize=None)
+def _join_kernel(algebra, k):
+    """`_kernel(algebra, k)`, compiled once per term count for the
+    hypothesis test below, as a replay compiles it once."""
+    from ncdigraph.inference import _kernel
+
+    return _kernel(algebra, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -606,7 +631,7 @@ def test_join_kernels_match_the_builtin_joins(data):
     # cell above every pool key and one legal 0, and k terms over them; the
     # top term (top, 0) goes first, last, at every third term or nowhere,
     # so the maximum is met at either end and in ties
-    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _warm
+    from ncdigraph.inference import _CountAlgebra, _MaxAlgebra
 
     for k in range(1, 65):
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
@@ -620,10 +645,9 @@ def test_join_kernels_match_the_builtin_joins(data):
             lefts[i], rights[i] = top, zero
         counts = [0 if key == -math.inf else key for key in keys]
         lefts, rights = tuple(lefts), tuple(rights)
-        _warm(((0, lefts, rights),), (_CountAlgebra, _MaxAlgebra))
-        assert _MaxAlgebra.kernels[k](keys, lefts, rights) == max(
+        assert _join_kernel(_MaxAlgebra, k)(keys, lefts, rights) == max(
             keys[a] + keys[b] for a, b in zip(lefts, rights)), (k, where)
-        assert _CountAlgebra.kernels[k](counts, lefts, rights) == sum(
+        assert _join_kernel(_CountAlgebra, k)(counts, lefts, rights) == sum(
             counts[a] * counts[b] for a, b in zip(lefts, rights)), (k, where)
 
 
@@ -641,9 +665,10 @@ def test_generated_max_kernels_call_no_max():
 
 def test_cold_kernel_tables_fill_before_any_parse(monkeypatch):
     # with both kernel tables empty and a key not cached, the grammar, the
-    # count and the parse all run and give what a warm run gives, and the
-    # count and the parse compile nothing: the grammar cached its program
-    # with its kernels
+    # count and the parse all run and give what a warm run gives; the count
+    # and the parse compile no program, since the grammar cached its
+    # program, and the count no kernel, since the grammar's count replay
+    # compiled them; the parse compiles only max kernels
     from ncdigraph import inference
 
     fam, n = parse_property_set("polytree"), 7
@@ -660,8 +685,9 @@ def test_cold_kernel_tables_fill_before_any_parse(monkeypatch):
         monkeypatch.setattr(inference, name,
                             lambda *args, f=made_by: made.append(args) or f(*args))
     count = count_family_strings(n, fam, lex)
-    parse = parse_max(w, fam)
     assert made == []
+    parse = parse_max(w, fam)
+    assert made and {args[0] for args in made} == {inference._MaxAlgebra}
     monkeypatch.undo()
     # a warm run: a fresh compile, with every kernel already made
     inference._PROGRAMS.pop((n, fam), None)
@@ -747,6 +773,29 @@ def test_grammar_sizes_on_the_benchmark_chart_grid():
     grammars = [build_intersection_grammar(n, fam) for fam, n in grid]
     assert sum(len(g.nonterminals) for g in grammars) == 2_268
     assert sum(len(g.productions) for g in grammars) == 6_915
+
+
+def test_grammar_productions_do_not_depend_on_the_hash_seed():
+    # the productions come in the order the grammar walk meets them, so two
+    # interpreters with different hash seeds list the same tuple
+    script = """
+from ncdigraph.digraphs import parse_property_set
+from ncdigraph.inference import LexicalConstraint, build_intersection_grammar
+lex = LexicalConstraint({2: frozenset({"in-left", "out-right"}),
+                         4: frozenset({"bidir", "in-right", "out-left"})})
+print(repr(build_intersection_grammar(5, parse_property_set("polytree"), lex).productions))
+print(repr(build_intersection_grammar(4).productions))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    assert len(out[0].splitlines()) == 2 and "S0" in out[0]
 
 
 def _reduced(g):

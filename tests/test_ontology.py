@@ -3,7 +3,8 @@ from functools import lru_cache
 from ncdigraph.digraphs import (ALL_PROPERTIES, PropertyId, check_property,
                                 enumerate_noncrossing_digraphs,
                                 enumerate_noncrossing_graphs,
-                                make_digraph, uacyclic_chain_scan)
+                                make_digraph, parse_property_set,
+                                uacyclic_chain_scan)
 from ncdigraph.ontology import (FAMILY_NAMES, SIX_PROPERTIES, FamilyClass,
                                 Lattice, build_lattice, classify, count_family,
                                 sequence, signature_string)
@@ -136,3 +137,9 @@ def test_family_names_present():
     assert "polytree" in names
     assert "out oriented tree" in names
     assert len(FAMILY_NAMES) == 23
+    # each family alias of parse_property_set names the ontology's class of
+    # the same signature
+    aliases = {"polytree": "polytree", "mixed-tree": "mixed tree", "multitree": "multitree",
+               "wc-dag": "w.c. dag", "out-tree": "out oriented tree"}
+    for alias, name in aliases.items():
+        assert FAMILY_NAMES[parse_property_set(alias)] == name, alias
