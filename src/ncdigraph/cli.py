@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import codec, fileio, inference, latent, ontology
 from .digraphs import (ALL_PROPERTIES, check_property, is_noncrossing,
@@ -147,10 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once: parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,26 +16,29 @@ pair's inside is the S row of the node after its opener.  The joins thus
 meet endpoints, not pairs (the arc item split from the sequence item, as in
 Eisner 1996), and the program has the shape of the grammar it materializes.
 The compiler keeps only the cells that feed a final cell, so the program is
-the reduced chart, and it stores each kept cell as one group: the join of
-its (left, right) operand pairs.  A bracket pair enters as a pair cell per
+the reduced chart, and it stores each kept cell as one row: the join of its
+(left, right) operand pairs.  A bracket pair enters as a pair cell per
 (orientation, u, v), which the algebra fills when a replay starts, so pair
-values, P(a, b) and S cells all have the one group shape and a replay is
-one loop over the groups.  Many cells differ only in their state labels and
-join the same operands, so every algebra gives them one value; the same
-compile pass hash-conses the kept cells, so in the program that is cached
-and replayed such cells are one cell (maximal sharing), and all empty cells
-are one identity cell.  In that program cell 0 is the identity, cells 1..P
-are the pair cells and the last cell is the answer: as in semiring parsing
-(Goodman 1999), the start symbol's value is one more chart item, the join
-of the final cells.  That one program serves counting (a replay with
-integer counts) and max-weight parsing (a replay with integer max-plus
-keys).  A replay sets each group's cell with one call to the algebra's join
-kernel for the group's term count, a function that writes the k products
-and their join out term by term: a balanced sum for counts, a chain of
-compares for max keys.  The replay compiles it: the first replay under an
-algebra that meets a group of k terms generates the kernel and keeps it in
-the algebra's plain dict, so a count compiles no max kernel and a parse no
-count kernel.
+values, P(a, b) and S cells all have the one row shape.  Many cells differ
+only in their state labels and join the same operands, so every algebra
+gives them one value; the same compile pass hash-conses the kept cells, so
+in the program that is cached and replayed such cells are one cell
+(maximal sharing), and all empty cells are one identity cell.  In that
+program cell 0 is the identity, cells 1..P are the pair cells and the last
+cell is the answer: as in semiring parsing (Goodman 1999), the start
+symbol's value is one more chart item, the join of the final cells.  That
+one program serves counting (a replay with integer counts) and max-weight
+parsing (a replay with integer max-plus keys).
+The rows come in level batches: a row's level is one more than the highest
+level of its operands, the identity and the pair cells being level 0, and
+a batch holds the rows of one level and one term count, so no row of a
+batch reads another.  A replay makes one call per batch to the algebra's
+kernel for the batch's term count, a function that loops over the rows and
+writes each row's k products and their join out term by term: a balanced
+sum for counts, a chain of compares for max keys.  The replay compiles it:
+the first replay under an algebra that meets a batch of k terms generates
+the kernel and keeps it in the algebra's plain dict, so a count compiles no
+max kernel and a parse no count kernel.
 Grammar materialization reads the productions off the compiler's labelled
 groups, and each labelled cell's count off its shared cell in one count
 replay; it caches the program it compiled, so a later count or parse of the
@@ -43,10 +46,13 @@ same (n, family) compiles no program.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
-A max key packs the scaled weight, the arc count and an arc bitmask into one
-Python integer, so the integer maximum is the documented tie-break (maximum
-weight, then fewest arcs, then lexicographically smallest sorted arc list)
-and the best arc set is decoded from the winning key's low bits.
+A max key is the scaled weight times n² less the arc count, a small
+integer, so the integer maximum has the maximum weight and then the fewest
+arcs.  The rest of the documented tie-break, the lexicographically smallest
+sorted arc list, is taken after the replay by a walk down from the answer
+cell that follows only tight terms, whose operands sum to their row's key:
+those make up exactly the best derivations.  Where two tight terms meet at
+a row, one pass back up the walked rows keeps the largest arc mask.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, TableDfa
@@ -186,17 +192,20 @@ def _compile(n: int, auto: TableDfa):
     from the chart.
     Returns (program, (cell_keys, shared, groups, openers, finals)):
 
-    - program = (ncells, pair_cells, groups), the hash-consed reduced chart
-      that `_replay` runs.  Cell 0 is the identity, the empty fragment.
-      pair_cells lists (cell, orientation, u, v) for cells 1..P, each
-      filled by the algebra with the value of a bracket pair of that
-      orientation over vertices u < v.  Every other cell is the
-      destination of one group (dst, lefts, rights): the join over i of
-      cell lefts[i] followed by cell rights[i].  The groups come in span
-      order, so each reads cells already set, and the last one writes the
-      last cell, the answer: the start symbol S0, which joins each final's
-      cell with the identity.  An empty family has no finals and no root
-      group, so its answer stays the algebra's zero.
+    - program = (ncells, pair_cells, rows, batches), the hash-consed
+      reduced chart that `_replay` runs.  Cell 0 is the identity, the
+      empty fragment.  pair_cells lists (cell, orientation, u, v) for
+      cells 1..P, each filled by the algebra with the value of a bracket
+      pair of that orientation over vertices u < v.  Every other cell is
+      written by one program row (dst, l0 .. l(k-1), r0 .. r(k-1)): the
+      join over i < k of cell li followed by cell ri.  rows[i] writes cell
+      P + 1 + i, so a traceback finds a cell's row by one subtraction.
+      batches lists (k, start, stop) for the rows[start:stop] of one level
+      and term count k, in level order, so each batch reads only cells
+      that earlier batches set.  The last row writes the last cell, the
+      answer: the start symbol S0, which joins each final's cell with the
+      identity.  An empty family has no finals and no root row, so its
+      answer stays the algebra's zero.
     - The rest labels the unshared cells for grammar materialization:
       cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
       the ends of the cell (a pair cell has the orientation and (u, v)
@@ -224,7 +233,10 @@ def _compile(n: int, auto: TableDfa):
     exact; a one-term group with the identity on a side is the cell on
     the other side, and a group whose terms were seen before is the cell
     they made.  The root group comes after this pass, so no cell is
-    merged into the answer.
+    merged into the answer.  Each shared group's level is one more than
+    its operands' highest; a stable sort by (level, term count) then
+    numbers the groups as the program rows.  Every group feeds the root,
+    so the root alone has the top level and writes the last cell.
     """
     delta = auto.delta
     boundary, moves = _moves(auto)
@@ -324,6 +336,7 @@ def _compile(n: int, auto: TableDfa):
         shared[c] = i
     made: dict = {}  # (lefts, rights) of sorted terms -> shared cell
     shared_groups = []
+    level = [0] * (len(pair_cells) + 1)  # shared cell -> 1 + its operands' top level
     at = shared.__getitem__
     for dst, (lefts, rights) in groups.items():
         if not needed[dst]:
@@ -336,35 +349,61 @@ def _compile(n: int, auto: TableDfa):
         operands = tuple(zip(*terms))
         c = made.get(operands)
         if c is None:
-            c = made[operands] = len(pair_cells) + 1 + len(shared_groups)
+            c = made[operands] = len(level)
+            level.append(1 + max(map(level.__getitem__, operands[0] + operands[1])))
             shared_groups.append((c, *operands))
         shared[dst] = c
-
-    root = len(pair_cells) + 1 + len(shared_groups)
     if finals:
-        shared_groups.append((root, tuple(shared[c] for _qf, c in finals), (0,) * len(finals)))
-    program = (root + 1, tuple((i, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
-               tuple(shared_groups))
+        roots = tuple(shared[c] for _qf, c in finals)
+        level.append(1 + max(map(level.__getitem__, roots)))
+        shared_groups.append((len(level) - 1, roots, (0,) * len(finals)))
+
+    del made  # so that the rows below replace the groups' operands, not copy them
+
+    # number the groups by (level, term count), keeping program order within
+    # each batch; every other group feeds the root, so the root is last
+    def batch(group):
+        return level[group[0]], len(group[1])
+
+    shared_groups.sort(key=batch)
+    batches, start = [], 0
+    for (_level, k), run in groupby(shared_groups, key=batch):
+        stop = start + sum(1 for _group in run)
+        batches.append((k, start, stop))
+        start = stop
+    renumber = list(range(len(pair_cells) + 1)) + [0] * len(shared_groups)
+    for c, (old, _lefts, _rights) in enumerate(shared_groups, len(pair_cells) + 1):
+        renumber[old] = c
+    at = renumber.__getitem__
+    for i, (c, lefts, rights) in enumerate(shared_groups):
+        shared_groups[i] = tuple(map(at, (c, *lefts, *rights)))
+    rows = tuple(shared_groups)
+    shared = [at(s) if s >= 0 else -1 for s in shared]
+    # an empty family has no root row, so its answer is one more cell
+    ncells = len(pair_cells) + 1 + len(rows) + (not finals)
+    program = (ncells, tuple((i, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
+               rows, tuple(batches))
     return program, (keys, shared, groups, openers, finals)
 
 
 # the two templates every kernel's source is made from, given only its term
 # count k: the function, and the product of one term's two operands
-_KERNEL = "def kernel(c, L, R):\n    {lefts}, = L\n    {rights}, = R\n    {body}\n"
+_KERNEL = "def kernel(c, rows):\n    for d, {lefts}, {rights} in rows:\n        {body}\n"
 _TERM = "c[l{i}] {times} c[r{i}]"
 
 
 def _kernel(algebra: type, k: int):
-    """The unrolled join kernel of k terms for `algebra`: kernel(c, L, R)
-    is the join over i < k of c[L[i]] ⊗ c[R[i]], written out term by term,
-    so a group costs one call and no iterator.  The algebra gives the
-    product operator `times` and `join(terms)`, the statements that join
-    the source of k terms and return the result.  `_replay` calls it for
-    each term count its algebra's `kernels` lacks."""
+    """The unrolled batch kernel of k terms for `algebra`: kernel(c, rows)
+    sets, for each row (d, l0 .. l(k-1), r0 .. r(k-1)) of `rows`, c[d] to
+    the join over i < k of c[li] ⊗ c[ri], written out term by term, so a
+    row costs no call and no inner iterator.  The algebra gives the product
+    operator `times` and `join(terms)`, the statements that join the source
+    of k terms into c[d].  `_replay` calls it for each term count its
+    algebra's `kernels` lacks."""
     terms = [_TERM.format(i=i, times=algebra.times) for i in range(k)]
     source = _KERNEL.format(lefts=", ".join(f"l{i}" for i in range(k)),
                             rights=", ".join(f"r{i}" for i in range(k)),
-                            body="\n    ".join(algebra.join(terms)))
+                            body="\n        ".join(algebra.join(terms)))
     scope: dict = {}
     exec(compile(source, f"<{algebra.__name__}.kernels[{k}]>", "exec"), scope)
     return scope["kernel"]
@@ -382,13 +421,13 @@ class _CountAlgebra:
     sums its products by a balanced tree of + whose depth is O(log k): a
     chained sum of some thousand terms nests too deep to compile."""
 
-    kernels: dict = {}  # term count -> join kernel, filled by _replay
+    kernels: dict = {}  # term count -> batch kernel, filled by _replay
     times = "*"
     zero = 0
 
     @staticmethod
     def join(terms: list) -> list:
-        return [f"return {_sum_tree(terms)}"]
+        return [f"c[d] = {_sum_tree(terms)}"]
 
     def __init__(self, lex: Optional[LexicalConstraint] = None):
         self.lex = lex
@@ -403,45 +442,39 @@ class _CountAlgebra:
 class _MaxAlgebra:
     """Values are integer keys of arc sets A:
 
-        key(A) = W(A)·M1 − |A|·M2 + mask(A)
+        key(A) = W(A)·n² − |A|
 
     W is the arc-weight sum scaled to an integer by the least common
     multiple of the weights' denominators (integer weights are used as
-    they are).  mask sets bit N−1−r for each arc, where r(i, j) = (i−1)·n +
-    (j−1) is the arc's rank in sorted order and N = n².  M2 = 2^N and M1 =
-    (n²+2)·M2 keep the three fields apart, so the larger key has the larger
-    weight, then fewer arcs, then the larger mask.  Of two arc sets of one
-    size, the lexicographically smaller sorted list is the one holding the
-    smallest arc of their symmetric difference, which is the one with the
-    larger mask.  The two operands of a term have disjoint arcs, so adding
-    their keys unions their masks.
+    they are).  A set has at most n² − n arcs, so the larger key has the
+    larger weight, then fewer arcs, and equal keys have equal weights and
+    arc counts.  The arc list that breaks the last tie is not in the key:
+    `parse_max` takes it from the tight terms of the replayed cells.
 
-    A pair the lexicon forbids gets the key −(W_total+2)·M1, where W_total
-    is the sum of all scaled weights.  Every legal key is above −M1, since
-    W(A) ≥ 0 and |A| ≤ n² − n.  A set with a forbidden pair sums less than
-    (W_total+1)·M1 over its legal arcs plus at least one forbidden key, so
-    it lies below −M1: then the lexicon leaves no member of the family.
+    A pair the lexicon forbids gets the key −(W_total+2)·n², where W_total
+    is the sum of all scaled weights.  Every legal key is above −n², since
+    W(A) ≥ 0 and |A| < n².  A set with a forbidden pair sums at most
+    W_total·n² over its legal arcs plus at least one forbidden key, so it
+    lies below −n²: then the lexicon leaves no member of the family.
 
     A kernel takes the maximum of its sums by a chain of compares, one
     statement per term, and so builds no argument tuple and makes no call
-    to max().  On a tie it keeps the earlier term; equal keys have equal
-    masks and so equal arc sets, so which one it keeps does not matter.
+    to max().  On a tie it keeps the earlier term's key, which equals the
+    later one's.
     """
 
-    kernels: dict = {}  # term count -> join kernel, filled by _replay
+    kernels: dict = {}  # term count -> batch kernel, filled by _replay
     times = "+"
     zero = -math.inf
 
     @staticmethod
     def join(terms: list) -> list:
         return [f"m = {terms[0]}", *(f"if (x := {t}) > m: m = x" for t in terms[1:]),
-                "return m"]
+                "c[d] = m"]
 
     def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):
-        n = self.n = w.n
+        n = w.n
         nn = n * n
-        m2 = self.m2 = 1 << nn
-        m1 = self.m1 = (nn + 2) * m2
         if all(isinstance(v, int) for v in w.w.values()):
             scaled = w.w
         else:
@@ -449,27 +482,23 @@ class _MaxAlgebra:
             scale = math.lcm(*(f.denominator for f in exact.values()))
             scaled = {ij: int(f * scale) for ij, f in exact.items()}
         weight = scaled.get
-        forbidden = -(sum(scaled.values()) + 2) * m1
+        forbidden = -(sum(scaled.values()) + 2) * nn
         self._pair = keys = {}  # (orientation, u, v) -> key added by that pair
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
-                # one-arc keys of (u, v) and (v, u), of ranks r and r'
-                fwd = weight((u, v), 0) * m1 - m2 + (1 << (nn - u * n + n - v))
-                bwd = weight((v, u), 0) * m1 - m2 + (1 << (nn - v * n + n - u))
-                for o, key in ((FORWARD, fwd), (BACKWARD, bwd), (BIDIRECTIONAL, fwd + bwd)):
-                    keys[o, u, v] = key if lex is None or lex.allows(o, u, v) else forbidden
+                fwd = keys[FORWARD, u, v] = weight((u, v), 0) * nn - 1
+                bwd = keys[BACKWARD, u, v] = weight((v, u), 0) * nn - 1
+                keys[BIDIRECTIONAL, u, v] = fwd + bwd
+        if lex is not None:
+            for o, u, v in keys:
+                if not lex.allows(o, u, v):
+                    keys[o, u, v] = forbidden
 
     def empty(self):
         return 0
 
     def pair(self, orientation, u, v):
         return self._pair[orientation, u, v]
-
-    def arcs(self, key: int) -> frozenset:
-        """The arc set whose mask is the low field of `key`."""
-        n, mask = self.n, key % self.m2
-        return frozenset((r // n + 1, r % n + 1) for r in range(n * n)
-                         if mask >> (n * n - 1 - r) & 1)
 
 
 _PROGRAMS: dict = {}  # (n, family) -> replay program
@@ -487,33 +516,29 @@ def _program(n: int, req: Iterable = ()) -> tuple:
 
 def _replay(program: tuple, algebra) -> list:
     """Values of every cell of `program` under `algebra`, by replaying it
-    without touching the automaton again: one kernel call per group, the
-    algebra's unrolled join for the group's term count.  The product
-    distributes over the join, so joining the pairs of one P(a, b) before
-    they meet their continuations keeps every value exact.  The last cell
-    is the answer, the join over the whole language.
+    without touching the automaton again: one kernel call per batch, the
+    algebra's unrolled join for the batch's term count, looped over the
+    batch's rows.  The rows of a batch read only cells of lower levels, so
+    the batches replay in program order.  The product distributes over the
+    join, so joining the pairs of one P(a, b) before they meet their
+    continuations keeps every value exact.  The last cell is the answer,
+    the join over the whole language.
 
     The kernels are read from the algebra's plain dict, which the
-    interpreter indexes fastest.  A replay that meets a term count the dict
-    lacks compiles the algebra's kernel of every term count the program has
-    and the dict lacks, then replays again, so an algebra compiles only the
+    interpreter indexes fastest.  A batch whose term count the dict lacks
+    compiles the algebra's kernel first, so an algebra compiles only the
     kernels of the programs it runs."""
-    ncells, pair_cells, groups = program
+    ncells, pair_cells, rows, batches = program
     cells = [algebra.zero] * ncells
     cells[0] = algebra.empty()
     for c, o, u, v in pair_cells:
         cells[c] = algebra.pair(o, u, v)
     kernels = algebra.kernels
-    try:
-        for dst, lefts, rights in groups:
-            cells[dst] = kernels[len(lefts)](cells, lefts, rights)
-    except KeyError:
-        missing = {len(lefts) for _dst, lefts, _rights in groups} - kernels.keys()
-        if not missing:
-            raise
-        for k in missing:
-            kernels[k] = _kernel(type(algebra), k)
-        return _replay(program, algebra)
+    for k, start, stop in batches:
+        kernel = kernels.get(k)
+        if kernel is None:
+            kernel = kernels[k] = _kernel(type(algebra), k)
+        kernel(cells, rows[start:stop])
     return cells
 
 
@@ -623,15 +648,73 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     return Grammar(start, tuple(productions))
 
 
+def _tight_arcs(program: tuple, cells: list, n: int) -> frozenset:
+    """The arcs of the tie-break's choice among the best derivations, from
+    the max keys `cells` of a replay of `program`.
+
+    A term of a row is tight when its two operands' keys sum to the row's
+    key.  The best derivations of a cell are exactly those that take a
+    tight term and then a best derivation of each operand, so a walk down
+    from the answer cell that follows only tight terms visits them all,
+    and they share one weight and one arc count.  If no visited row has
+    two tight terms there is one best derivation, and its arcs are those of
+    the pair cells it reaches.  Otherwise one pass up the visited rows, in
+    cell order (operands come first), gives each the largest arc mask over
+    its tight terms: bit n²−1−r for the arc of rank r = (i−1)·n + (j−1), so
+    of two arc sets of one size the larger mask holds the smallest arc of
+    their symmetric difference and is the lexicographically smaller sorted
+    list.  The operands of a term have disjoint arcs, so their masks add."""
+    _ncells, pair_cells, rows, _batches = program
+    first = len(pair_cells) + 1  # the first row's cell
+    tight: dict = {}  # visited row cell -> its tight terms
+    reached = set()  # the pair cells that tight terms read
+    todo = [len(cells) - 1]
+    while todo:
+        d = todo.pop()
+        if d in tight:
+            continue
+        row = rows[d - first]
+        k = len(row) >> 1
+        best = cells[d]
+        terms = tight[d] = [(l, r) for l, r in zip(row[1:k + 1], row[k + 1:])
+                            if cells[l] + cells[r] == best]
+        for term in terms:
+            for c in term:
+                if c >= first:
+                    todo.append(c)
+                elif c:
+                    reached.add(c)
+    arcs = {c: _pair_arcs(*pair_cells[c - 1][1:]) for c in reached}
+    if all(len(terms) == 1 for terms in tight.values()):
+        return frozenset(arc for pair in arcs.values() for arc in pair)
+    nn = n * n
+    mask = {0: 0}
+    for c, pair in arcs.items():
+        mask[c] = sum(1 << (nn - i * n + n - j) for i, j in pair)
+    for d in sorted(tight):
+        mask[d] = max(mask[l] + mask[r] for l, r in tight[d])
+    best = mask[len(cells) - 1]
+    return frozenset((r // n + 1, r % n + 1) for r in range(nn) if best >> (nn - 1 - r) & 1)
+
+
+def _pair_arcs(orientation: str, u: int, v: int) -> tuple:
+    """The arcs of a bracket pair of `orientation` over vertices u < v."""
+    if orientation == FORWARD:
+        return ((u, v),)
+    if orientation == BACKWARD:
+        return ((v, u),)
+    return ((u, v), (v, u))
+
+
 def parse_max(w: WeightMatrix, req: Iterable = (),
               lex: Optional[LexicalConstraint] = None) -> ParseResult:
     """Exact argmax of the arc-weight sum over the requested family."""
     _check(w.n, lex)
-    alg = _MaxAlgebra(w, lex)
-    best = _replay(_program(w.n, req), alg)[-1]
-    if best < -alg.m1:
+    program = _program(w.n, req)
+    cells = _replay(program, _MaxAlgebra(w, lex))
+    if cells[-1] < -w.n * w.n:
         raise NoParseError("the requested family is empty for this input")
-    arcs = alg.arcs(best)
+    arcs = _tight_arcs(program, cells, w.n)
     return ParseResult(Digraph(w.n, arcs), sum(w.get(i, j) for (i, j) in sorted(arcs)))
 
 

@@ -264,3 +264,26 @@ def test_cli_round_trip_random(tmp_path, capsys):
         status, out2, _ = invoke(capsys, "decode", "--digraph", out.strip())
         assert status == 0
         assert parse_digraph(out2) == g
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    # run builds its parser once; a usage error, --help and a valid command
+    # in any order give the exit codes and messages a fresh parser gives
+    from ncdigraph import cli
+
+    calls = [("count",), ("count", "-n", "x"), ("frobnicate",), ("count", "--help"),
+             ("count", "-n", "4"), ("count", "-n", "4", "--family", "out-tree")]
+    fresh = []
+    for argv in calls:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh.append(invoke(capsys, *argv))
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert [invoke(capsys, *argv) for argv in calls] == fresh
+    assert len(built) == 1
+    assert [status for status, _out, _err in fresh] == [2, 2, 2, 0, 0, 0]
+    assert fresh[-2][1] == "1792\n"

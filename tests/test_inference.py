@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdigraph import cfg
-from ncdigraph.digraphs import (PropertyId, check_property,
+from ncdigraph.digraphs import (Digraph, PropertyId, check_property,
                                 enumerate_noncrossing_digraphs, is_noncrossing,
                                 parse_property_set)
 from ncdigraph.fileio import parse_lexicon, parse_weights
@@ -367,12 +367,17 @@ _PROGRAM_FAMS = (frozenset(), frozenset({PropertyId.ACYC_D}),
                  frozenset({PropertyId.UNAMB_S}), parse_property_set("out-tree"))
 
 
-def _assert_set_once_and_coreachable(program, empty=(0,), cells=None):
+def _groups(program):
+    """The rows of `program` as (dst, lefts, rights) groups, in replay order."""
+    _ncells, _pairs, rows, _batches = program
+    return [(row[0], row[1:k + 1], row[k + 1:]) for row in rows for k in [len(row) >> 1]]
+
+
+def _assert_set_once_and_coreachable(ncells, pair_cells, groups, empty=(0,), cells=None):
     """Each cell (by default 0 .. ncells - 1) is set once, as an empty cell,
     a pair cell or by one group, a group reads only cells already set, the
     last group writes the last cell, the answer, and a search down from the
     answer meets every cell."""
-    ncells, pair_cells, groups = program
     cells = sorted(range(ncells) if cells is None else cells)
     inputs = list(empty) + [c for c, *_kind in pair_cells]
     assert sorted(inputs + [d for d, _l, _r in groups]) == cells
@@ -390,6 +395,29 @@ def _assert_set_once_and_coreachable(program, empty=(0,), cells=None):
                 seen.add(c)
                 todo.append(c)
     assert seen == set(cells)
+
+
+def _assert_level_batches(program):
+    """The rows come in batches that tile them in order, one per (level,
+    term count), sorted by level: a row's level is 1 + its operands' top
+    level, the identity and pair cells being level 0.  So a batch reads
+    only cells its earlier batches set, and row i writes cell P + 1 + i,
+    where a traceback finds it."""
+    _ncells, pair_cells, rows, batches = program
+    first = len(pair_cells) + 1
+    level = [0] * first
+    seen, at = [], 0
+    for k, start, stop in batches:
+        assert start == at < stop
+        at = stop
+        for i, row in enumerate(rows[start:stop], first + start):
+            assert row[0] == i == len(level) and len(row) == 2 * k + 1
+            assert max(row[1:]) < first + start
+            level.append(1 + max(level[c] for c in row[1:]))
+        seen.append((level[-1], k))
+        assert {level[first + i] for i in range(start, stop)} == {level[-1]}
+    assert at == len(rows)
+    assert seen == sorted(set(seen))
 
 
 def _is_empty_cell(key):
@@ -453,7 +481,7 @@ def test_compiled_program_leaves_no_dead_value():
             assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
             assert sorted(set(openers) & set(kept)) == folds
             assert all(keys[f][0] == "P" for f in openers)
-            _assert_set_once_and_coreachable(labelled, empty, kept + [labelled[0] - 1])
+            _assert_set_once_and_coreachable(*labelled, empty, kept + [labelled[0] - 1])
 
 
 _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
@@ -476,8 +504,8 @@ def test_shared_program_gives_the_unshared_values():
     for fam, n in _SHARED_CASES:
         program, (keys, shared, groups, _openers, finals) = _compile(n, family_automaton(fam))
         assert program == _program(n, fam)
-        assert program[2][-1] == (program[0] - 1, tuple(shared[c] for _qf, c in finals),
-                                  (0,) * len(finals))
+        assert program[2][-1] == (program[0] - 1, *(shared[c] for _qf, c in finals),
+                                  *(0,) * len(finals))
         for lex in (None, _random_lexicon(rng, n)):
             w = random_weights(rng, n, hi=100)
             for alg in (_CountAlgebra(lex), _MaxAlgebra(w, lex)):
@@ -489,16 +517,19 @@ def test_shared_program_gives_the_unshared_values():
 
 
 def test_shared_program_is_maximally_shared():
-    # set once, read after set and co-reachable, like the labelled groups;
-    # the identity at 0 and the pair cells at 1..P; before the root, one
-    # cell per term multiset and no group that only renames its one
-    # non-identity operand; the root joins each final with the identity
+    # set once, read after set and co-reachable, like the labelled groups,
+    # and replayed in level batches; the identity at 0 and the pair cells
+    # at 1..P; before the root, one cell per term multiset and no group that
+    # only renames its one non-identity operand; the root joins each final
+    # with the identity
     from ncdigraph.inference import _program
 
     for fam, n in _SHARED_CASES:
         program = _program(n, fam)
-        _assert_set_once_and_coreachable(program)
-        ncells, pair_cells, groups = program
+        ncells, pair_cells, _rows, _batches = program
+        groups = _groups(program)
+        _assert_set_once_and_coreachable(ncells, pair_cells, groups)
+        _assert_level_batches(program)
         assert [c for c, _o, _u, _v in pair_cells] == list(range(1, len(pair_cells) + 1))
         assert len({(o, u, v) for _c, o, u, v in pair_cells}) == len(pair_cells)
         *body, (root, finals, identities) = groups
@@ -528,8 +559,10 @@ def test_shared_program_keeps_repeated_terms():
                      tuple(q == 4 for q in range(8)))
     program, (keys, shared, groups, _openers, _finals) = _compile(2, table)
     # cell 0 is the identity, 1 the pair, 2 joins it with each boundary pair
-    # and 3, the answer, joins the one final with the identity
-    assert program == (4, ((1, FORWARD, 1, 2),), ((2, (1, 1), (0, 0)), (3, (2,), (0,))))
+    # and 3, the answer, joins the one final with the identity: one batch
+    # of one two-term row, then one of one one-term row
+    assert program == (4, ((1, FORWARD, 1, 2),), ((2, 1, 1, 0, 0), (3, 2, 0)),
+                       ((2, 0, 1), (1, 1, 2)))
     [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
     assert len(set(zip(lefts, rights))) == 2
     assert _replay(program, _CountAlgebra())[2:] == [2, 2]
@@ -537,10 +570,11 @@ def test_shared_program_keeps_repeated_terms():
 
 def test_join_kernels_replay_long_and_single_groups():
     # a hand-made program: one identity cell, the pair cells of n = 6, a
-    # ladder of groups j joining j identity terms, then a group of 5,000
-    # random terms over all of them and a group of one term; each group's
-    # value is the join computed here, under both algebras, and a kernel is
-    # compiled once per term count and shared by the algebra's instances
+    # ladder of batches j of two rows, one joining j identity terms and one
+    # j terms over pair cells, then a batch of one row of 5,000 random terms
+    # over all of them and a batch of one one-term row; each row's value is
+    # the join computed here, under both algebras, and a kernel is compiled
+    # once per term count and shared by the algebra's instances
     from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
     from ncdigraph.inference import _CountAlgebra, _MaxAlgebra, _replay
 
@@ -548,18 +582,25 @@ def test_join_kernels_replay_long_and_single_groups():
     pairs = tuple((1 + i, o, u, v) for i, (o, u, v) in enumerate(
         (o, u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
         for o in (FORWARD, BACKWARD, BIDIRECTIONAL)))
-    ncells = 1 + len(pairs)
-    groups = [(ncells + j - 1, (0,) * j, (0,) * j) for j in range(1, 9)]
-    ncells += len(groups)
-    groups.append((ncells, tuple(rng.randrange(ncells) for _ in range(5000)),
+    first = 1 + len(pairs)
+    groups = []
+    for j in range(1, 9):
+        groups.append(((0,) * j, (0,) * j))
+        groups.append((tuple(rng.randrange(1, first) for _ in range(j)),
+                       tuple(rng.randrange(first) for _ in range(j))))
+    ncells = first + len(groups)
+    groups.append((tuple(rng.randrange(ncells) for _ in range(5000)),
                    tuple(rng.randrange(ncells) for _ in range(5000))))
-    groups.append((ncells + 1, (ncells,), (rng.randrange(ncells),)))
-    program = (ncells + 2, pairs, tuple(groups))
+    groups.append(((ncells,), (rng.randrange(ncells),)))
+    rows = tuple((first + i, *lefts, *rights) for i, (lefts, rights) in enumerate(groups))
+    batches = tuple((j, 2 * j - 2, 2 * j) for j in range(1, 9)) + ((5000, 16, 17), (1, 17, 18))
+    program = (first + len(rows), pairs, rows, batches)
+    _assert_level_batches(program)
     lex = _random_lexicon(rng, n)
     for alg, times, join in ((_CountAlgebra(lex), operator.mul, sum),
                              (_MaxAlgebra(random_weights(rng, n), lex), operator.add, max)):
         want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
-        for _dst, lefts, rights in groups:
+        for lefts, rights in groups:
             want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
         assert _replay(program, alg) == want
         assert alg.kernels[5000] is alg.kernels[5000] is type(alg).kernels[5000]
@@ -568,13 +609,14 @@ def test_join_kernels_replay_long_and_single_groups():
 
 def test_shared_program_sizes():
     # unshared at ∅ n = 9: 4,193 cells, 3,857 groups and 24,260 terms;
-    # shared, before the root cell and its group: 1,599 cells, 1,490 groups
-    # and 11,932 terms, and the root adds one term per final (20)
+    # shared, before the root cell and its row: 1,599 cells, 1,490 rows
+    # and 11,932 terms, and the root adds one term per final (20); the rows
+    # replay in 149 level batches
     from ncdigraph.inference import _program
 
-    ncells, _pairs, groups = _program(9)
-    assert (ncells, len(groups), sum(len(lefts) for _d, lefts, _r in groups)) == (
-        1_600, 1_491, 11_952)
+    ncells, _pairs, rows, batches = _program(9)
+    assert (ncells, len(rows), sum(len(row) >> 1 for row in rows), len(batches)) == (
+        1_600, 1_491, 11_952, 149)
 
 
 def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
@@ -595,7 +637,7 @@ def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
     monkeypatch.setattr(inference, "_kernel",
                         lambda algebra, k: made.append((algebra, k)) or kernel(algebra, k))
     count = count_family_strings(n, fam)
-    sizes = {len(lefts) for _dst, lefts, _rights in inference._PROGRAMS[n, fam][2]}
+    sizes = {k for k, _start, _stop in inference._PROGRAMS[n, fam][3]}
     assert len(sizes) > 1
     assert sorted(k for _alg, k in made) == sorted(sizes)
     assert {alg for alg, _k in made} == {_CountAlgebra}
@@ -628,7 +670,8 @@ def _join_kernel(algebra, k):
 @given(st.data())
 def test_join_kernels_match_the_builtin_joins(data):
     # for each term count k: up to 8 cells drawn from the pool, then one
-    # cell above every pool key and one legal 0, and k terms over them; the
+    # cell above every pool key and one legal 0, and a batch of one to
+    # three rows of k terms over them, each writing a cell of its own; the
     # top term (top, 0) goes first, last, at every third term or nowhere,
     # so the maximum is met at either end and in ties
     from ncdigraph.inference import _CountAlgebra, _MaxAlgebra
@@ -638,21 +681,28 @@ def test_join_kernels_match_the_builtin_joins(data):
         keys = rng.choices(_KEY_POOL, k=rng.randrange(1, 9))
         top, zero = len(keys), len(keys) + 1
         keys += [1 << 100, 0]
-        lefts = [rng.randrange(len(keys)) for _ in range(k)]
-        rights = [rng.randrange(len(keys)) for _ in range(k)]
         where = data.draw(st.sampled_from(("first", "last", "every third", "nowhere")))
-        for i in {"first": [0], "last": [k - 1], "every third": range(0, k, 3), "nowhere": []}[where]:
-            lefts[i], rights[i] = top, zero
+        rows = []
+        for d in range(len(keys), len(keys) + rng.randrange(1, 4)):
+            lefts = [rng.randrange(len(keys)) for _ in range(k)]
+            rights = [rng.randrange(len(keys)) for _ in range(k)]
+            for i in {"first": [0], "last": [k - 1], "every third": range(0, k, 3),
+                      "nowhere": []}[where]:
+                lefts[i], rights[i] = top, zero
+            rows.append((d, *lefts, *rights))
         counts = [0 if key == -math.inf else key for key in keys]
-        lefts, rights = tuple(lefts), tuple(rights)
-        assert _join_kernel(_MaxAlgebra, k)(keys, lefts, rights) == max(
-            keys[a] + keys[b] for a, b in zip(lefts, rights)), (k, where)
-        assert _join_kernel(_CountAlgebra, k)(counts, lefts, rights) == sum(
-            counts[a] * counts[b] for a, b in zip(lefts, rights)), (k, where)
+        maxes, sums = keys + [None] * len(rows), counts + [None] * len(rows)
+        _join_kernel(_MaxAlgebra, k)(maxes, tuple(rows))
+        _join_kernel(_CountAlgebra, k)(sums, tuple(rows))
+        for d, *operands in rows:
+            terms = list(zip(operands[:k], operands[k:]))
+            assert maxes[d] == max(keys[a] + keys[b] for a, b in terms), (k, where)
+            assert sums[d] == sum(counts[a] * counts[b] for a, b in terms), (k, where)
 
 
 def test_generated_max_kernels_call_no_max():
-    # the max join is a chain of compares, not a call of the builtin
+    # the max join is a chain of compares, k - 1 per row, not a call of the
+    # builtin
     import dis
 
     from ncdigraph.inference import _kernel, _MaxAlgebra
@@ -703,7 +753,7 @@ def test_empty_family_program_has_no_root():
     fam = frozenset({PropertyId.INV, PropertyId.ORIENTED, PropertyId.CONN_W})
     rng = random.Random(61)
     for n in range(2, 7):
-        assert _program(n, fam) == (2, (), ())
+        assert _program(n, fam) == (2, (), (), ())
         assert count_family_strings(n, fam) == 0
         with pytest.raises(NoParseError):
             parse_max(random_weights(rng, n), fam)
@@ -713,15 +763,15 @@ def test_empty_family_program_has_no_root():
 
 
 def test_identity_is_cell_0_when_only_the_root_reads_it():
-    # at n = 2 a connected digraph has an arc, so no group of these
-    # programs but the root reads the identity
+    # at n = 2 a connected digraph has an arc, so no row of these programs
+    # but the root reads the identity
     from ncdigraph.inference import _CountAlgebra, _family_members, _program, _replay
 
     for name in ("CONN_W", "polytree", "mixed-tree", "wc-dag", "out-tree"):
         fam = parse_property_set(name)
         program = _program(2, fam)
-        ncells, _pairs, groups = program
-        *body, (root, finals, identities) = groups
+        ncells = program[0]
+        *body, (root, finals, identities) = _groups(program)
         assert not any(0 in lefts + rights for _dst, lefts, rights in body), name
         assert root == ncells - 1 and identities == (0,) * len(finals)
         cells = _replay(program, _CountAlgebra())
@@ -896,6 +946,27 @@ def test_parse_tie_break_matches_brute():
                 assert type(pm.weight) is type(bm.weight)
 
 
+def test_tight_traceback_breaks_a_tie_by_the_arc_masks():
+    # a hand-made program on 4 vertices, five forward pairs of weight 1:
+    # cell 6 reads the pairs (2, 4) and (1, 2); cell 7 joins {(2, 3), (3, 4)}
+    # and then {(1, 3), (3, 4)}; the answer, cell 8, joins cell 7 and then
+    # cell 6.  Every derivation has two arcs of weight 2, so every term is
+    # tight and both multi-term rows tie; the tie-break's choice is the
+    # smallest sorted list, [(1, 2), (2, 4)], where taking the first tight
+    # term of each row would give [(2, 3), (3, 4)]
+    from ncdigraph.chains import FORWARD
+    from ncdigraph.inference import _MaxAlgebra, _replay, _tight_arcs
+
+    arcs = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)]
+    pairs = tuple((c, FORWARD, u, v) for c, (u, v) in enumerate(arcs, 1))
+    rows = ((6, 5, 1), (7, 2, 4, 3, 3), (8, 7, 6, 0, 0))
+    program = (9, pairs, rows, ((1, 0, 1), (2, 1, 2), (2, 2, 3)))
+    _assert_level_batches(program)
+    cells = _replay(program, _MaxAlgebra(WeightMatrix(4, dict.fromkeys(arcs, 1))))
+    assert cells[6:] == [2 * 16 - 2] * 3
+    assert _tight_arcs(program, cells, 4) == {(1, 2), (2, 4)}
+
+
 def test_no_numpy_anywhere():
     # the package, its CLI and the integer oracle path import no numpy
     script = """
@@ -1038,22 +1109,27 @@ def test_lexicons_share_one_program_per_family():
         ((n, fam) for fam in fams for n in (3, 5, 7)), key=repr)
 
 
-def _interval_max(w, lex):
-    """Best weight of a noncrossing digraph whose arcs the lexicon allows,
-    by an O(n^3) interval DP independent of the chart.  g[i][k] is the best
-    gain of the vertex pair i < k on its own; f[i][j] is the best weight
-    within vertices i..j, which may use the pair (i, j) since gains are
-    nonnegative and the outer pair crosses nothing inside.  Without (i, j),
-    either i has no partner or its farthest partner k < j splits i..j into
-    i..k and k..j."""
+def _interval_max(w, lex, value=None):
+    """Best value of a noncrossing digraph whose arcs the lexicon allows,
+    by an O(n^3) interval DP independent of the chart.  value(arcs) is what
+    the arcs of one vertex pair add, by default their weight, and the pair
+    on its own adds the best of the options the lexicon allows and 0, no
+    arc.  g[i][k] is that best gain of the vertex pair i < k; f[i][j] is
+    the best value within vertices i..j, which may use the pair (i, j)
+    since gains are nonnegative and the outer pair crosses nothing inside.
+    Without (i, j), either i has no partner or its farthest partner k < j
+    splits i..j into i..k and k..j."""
     n = w.n
+    if value is None:
+        def value(arcs):
+            return sum(w.get(i, j) for i, j in arcs)
     need = {"f": ("out-right", "in-left"), "b": ("in-right", "out-left"),
             "i": ("bidir", "bidir")}
     g = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
-            gains = {"f": w.get(i, k), "b": w.get(k, i),
-                     "i": w.get(i, k) + w.get(k, i)}
+            gains = {"f": value([(i, k)]), "b": value([(k, i)]),
+                     "i": value([(i, k), (k, i)])}
             g[i][k] = max([0] + [gain for o, gain in gains.items()
                                  if need[o][0] in lex.allowed(i)
                                  and need[o][1] in lex.allowed(k)])
@@ -1066,24 +1142,53 @@ def _interval_max(w, lex):
     return f[1][n]
 
 
+def _interval_argmax(w, lex):
+    """The tie-break's choice, by `_interval_max` on packed keys of integer
+    weights: key(A) = W(A)·M1 − |A|·M2 + mask(A), where mask sets bit N−1−r
+    for the arc of rank r = (i−1)·n + (j−1), N = n², M2 = 2^N and M1 =
+    (N+2)·M2.  The fields stay apart, so the largest key has the largest
+    weight, then the fewest arcs, then the largest mask: of two arc sets of
+    one size, the one holding the smallest arc of their symmetric
+    difference, the lexicographically smaller sorted list.  Keys of
+    disjoint arc sets add.  Returns the digraph and its weight."""
+    n = w.n
+    nn = n * n
+    m2 = 1 << nn
+    m1 = (nn + 2) * m2
+
+    def key(arcs):
+        return (sum(w.get(i, j) for i, j in arcs) * m1 - len(arcs) * m2
+                + sum(1 << (nn - 1 - (i - 1) * n - (j - 1)) for i, j in arcs))
+
+    mask = _interval_max(w, lex, key) % m2
+    arcs = frozenset((r // n + 1, r % n + 1) for r in range(nn) if mask >> (nn - 1 - r) & 1)
+    return Digraph(n, arcs), sum(w.get(i, j) for i, j in arcs)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_lexicon_parse_weight_matches_interval_dp(seed):
+    # the digraph and its weight, with weights 0..59 or tie-heavy 0/1
     rng = random.Random(seed)
     n = rng.randint(1, 10)
-    w = random_weights(rng, n)
+    w = random_weights(rng, n, hi=rng.choice((2, 60)))
     lex = _random_lexicon(rng, n)
-    assert parse_max(w, (), lex).weight == _interval_max(w, lex)
+    res = parse_max(w, (), lex)
+    assert res.weight == _interval_max(w, lex)
+    assert (res.digraph, res.weight) == _interval_argmax(w, lex)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=15, deadline=None)
 def test_parse_weight_matches_interval_dp(seed):
-    # no lexicon, sizes well past the brute-force oracle's n <= 6
+    # no lexicon, sizes well past the brute-force oracle's n <= 6: the
+    # digraph and its weight, with weights 0..59 or tie-heavy 0/1
     rng = random.Random(seed)
     n = rng.randint(1, 20)
-    w = random_weights(rng, n)
-    assert parse_max(w).weight == _interval_max(w, LexicalConstraint({}))
+    w = random_weights(rng, n, hi=rng.choice((2, 60)))
+    res = parse_max(w)
+    assert res.weight == _interval_max(w, LexicalConstraint({}))
+    assert (res.digraph, res.weight) == _interval_argmax(w, LexicalConstraint({}))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -1101,8 +1206,8 @@ def test_parse_weight_is_arc_sum(seed):
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
-    # key(A) = W(A)·M1 − |A|·M2 + mask(A) for the arcs A of each pair, and
-    # −(W_total+2)·M1 for a pair the lexicon forbids, as exact integers
+    # key(A) = W(A)·n² − |A| for the arcs A of each pair, and −(W_total+2)·n²
+    # for a pair the lexicon forbids, as exact integers
     from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
     from ncdigraph.inference import _MaxAlgebra
 
@@ -1115,15 +1220,12 @@ def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
     lex = _random_lexicon(rng, n) if with_lexicon else None
     exact = {ij: Fraction(v) for ij, v in w.w.items()}
     scale = math.lcm(*(f.denominator for f in exact.values()))
-    m2 = 2 ** (n * n)
-    m1 = (n * n + 2) * m2
 
     def key(arcs):
         weight = sum(exact.get(arc, 0) for arc in arcs) * scale
-        mask = sum(2 ** (n * n - 1 - ((i - 1) * n + (j - 1))) for i, j in arcs)
-        return int(weight) * m1 - len(arcs) * m2 + mask
+        return int(weight) * n * n - len(arcs)
 
-    forbidden = -(int(sum(exact.values()) * scale) + 2) * m1
+    forbidden = -(int(sum(exact.values()) * scale) + 2) * n * n
     alg = _MaxAlgebra(w, lex)
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
