@@ -102,6 +102,8 @@ def cmd_parse(args) -> int:
     return 0
 
 
+# built once: parsing leaves the parser as it was
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncdigraph",
                                  description="noncrossing digraph toolkit")
@@ -148,15 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built once: parsing leaves the parser as it was."""
-    return build_parser()
-
-
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

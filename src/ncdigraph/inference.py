@@ -32,13 +32,15 @@ parsing (a replay with integer max-plus keys).
 The rows come in level batches: a row's level is one more than the highest
 level of its operands, the identity and the pair cells being level 0, and
 a batch holds the rows of one level and one term count, so no row of a
-batch reads another.  A replay makes one call per batch to the algebra's
-kernel for the batch's term count, a function that loops over the rows and
-writes each row's k products and their join out term by term: a balanced
-sum for counts, a chain of compares for max keys.  The replay compiles it:
-the first replay under an algebra that meets a batch of k terms generates
-the kernel and keeps it in the algebra's plain dict, so a count compiles no
-max kernel and a parse no count kernel.
+batch reads another.  A batch holds the program's own rows, not a copy of
+them, and the rows keep the order hash-consing made them in.  A
+replay makes one call per batch to the algebra's kernel for the batch's
+term count, a function that loops over the rows and writes each row's k
+products and their join out term by term: a balanced sum for counts, a
+chain of compares for max keys.  The replay compiles it: the first replay
+under an algebra that meets a batch of k terms generates the kernel and
+keeps it in the algebra's plain dict, so a count compiles no max kernel
+and a parse no count kernel.
 Grammar materialization reads the productions off the compiler's labelled
 groups, and each labelled cell's count off its shared cell in one count
 replay; it caches the program it compiled, so a later count or parse of the
@@ -51,8 +53,8 @@ integer, so the integer maximum has the maximum weight and then the fewest
 arcs.  The rest of the documented tie-break, the lexicographically smallest
 sorted arc list, is taken after the replay by a walk down from the answer
 cell that follows only tight terms, whose operands sum to their row's key:
-those make up exactly the best derivations.  Where two tight terms meet at
-a row, one pass back up the walked rows keeps the largest arc mask.
+those make up exactly the best derivations.  One pass back up the walked
+rows then keeps the largest arc mask at each.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, TableDfa
@@ -200,12 +202,12 @@ def _compile(n: int, auto: TableDfa):
       written by one program row (dst, l0 .. l(k-1), r0 .. r(k-1)): the
       join over i < k of cell li followed by cell ri.  rows[i] writes cell
       P + 1 + i, so a traceback finds a cell's row by one subtraction.
-      batches lists (k, start, stop) for the rows[start:stop] of one level
-      and term count k, in level order, so each batch reads only cells
-      that earlier batches set.  The last row writes the last cell, the
-      answer: the start symbol S0, which joins each final's cell with the
-      identity.  An empty family has no finals and no root row, so its
-      answer stays the algebra's zero.
+      batches lists (k, rows of one level and term count k) in level
+      order, each holding the rows themselves in program order, so each
+      batch reads only cells that earlier batches set.  The last row
+      writes the last cell, the answer: the start symbol S0, which joins
+      each final's cell with the identity.  An empty family has no finals
+      and no root row, so its answer stays the algebra's zero.
     - The rest labels the unshared cells for grammar materialization:
       cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
       the ends of the cell (a pair cell has the orientation and (u, v)
@@ -234,9 +236,9 @@ def _compile(n: int, auto: TableDfa):
     the other side, and a group whose terms were seen before is the cell
     they made.  The root group comes after this pass, so no cell is
     merged into the answer.  Each shared group's level is one more than
-    its operands' highest; a stable sort by (level, term count) then
-    numbers the groups as the program rows.  Every group feeds the root,
-    so the root alone has the top level and writes the last cell.
+    its operands' highest, and the batches gather the rows by (level,
+    term count).  Every group feeds the root, so the root alone has the
+    top level and writes the last cell.
     """
     delta = auto.delta
     boundary, moves = _moves(auto)
@@ -334,8 +336,8 @@ def _compile(n: int, auto: TableDfa):
                   if key[0] == "pair" and needed[c]]
     for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
         shared[c] = i
-    made: dict = {}  # (lefts, rights) of sorted terms -> shared cell
-    shared_groups = []
+    made: dict = {}  # sorted terms as (l0 .. l(k-1), r0 .. r(k-1)) -> shared cell
+    rows = []  # the operands of each shared group, in program order
     level = [0] * (len(pair_cells) + 1)  # shared cell -> 1 + its operands' top level
     at = shared.__getitem__
     for dst, (lefts, rights) in groups.items():
@@ -346,43 +348,34 @@ def _compile(n: int, auto: TableDfa):
             left, right = terms[0]
             shared[dst] = right if left == 0 else left
             continue
-        operands = tuple(zip(*terms))
+        lefts, rights = zip(*terms)
+        operands = lefts + rights
         c = made.get(operands)
         if c is None:
             c = made[operands] = len(level)
-            level.append(1 + max(map(level.__getitem__, operands[0] + operands[1])))
-            shared_groups.append((c, *operands))
+            level.append(1 + max(map(level.__getitem__, operands)))
+            rows.append(operands)
         shared[dst] = c
     if finals:
         roots = tuple(shared[c] for _qf, c in finals)
         level.append(1 + max(map(level.__getitem__, roots)))
-        shared_groups.append((len(level) - 1, roots, (0,) * len(finals)))
+        rows.append(roots + (0,) * len(finals))
 
-    del made  # so that the rows below replace the groups' operands, not copy them
+    del made  # so that the rows below replace the operands, not copy them
 
-    # number the groups by (level, term count), keeping program order within
-    # each batch; every other group feeds the root, so the root is last
-    def batch(group):
-        return level[group[0]], len(group[1])
-
-    shared_groups.sort(key=batch)
-    batches, start = [], 0
-    for (_level, k), run in groupby(shared_groups, key=batch):
-        stop = start + sum(1 for _group in run)
-        batches.append((k, start, stop))
-        start = stop
-    renumber = list(range(len(pair_cells) + 1)) + [0] * len(shared_groups)
-    for c, (old, _lefts, _rights) in enumerate(shared_groups, len(pair_cells) + 1):
-        renumber[old] = c
-    at = renumber.__getitem__
-    for i, (c, lefts, rights) in enumerate(shared_groups):
-        shared_groups[i] = tuple(map(at, (c, *lefts, *rights)))
-    rows = tuple(shared_groups)
-    shared = [at(s) if s >= 0 else -1 for s in shared]
+    # prefix each row with the cell it writes and gather the rows of each
+    # (level, term count) in program order; every other group feeds the
+    # root, so the root is alone in the last batch
+    first = len(pair_cells) + 1  # the first row's cell
+    batches: dict = {}
+    for i, operands in enumerate(rows):
+        row = rows[i] = (first + i, *operands)
+        batches.setdefault((level[first + i], len(operands) >> 1), []).append(row)
+    rows = tuple(rows)
     # an empty family has no root row, so its answer is one more cell
-    ncells = len(pair_cells) + 1 + len(rows) + (not finals)
+    ncells = first + len(rows) + (not finals)
     program = (ncells, tuple((i, o, u, v) for i, (_c, o, u, v) in enumerate(pair_cells, 1)),
-               rows, tuple(batches))
+               rows, tuple((k, tuple(batch)) for (_level, k), batch in sorted(batches.items())))
     return program, (keys, shared, groups, openers, finals)
 
 
@@ -528,17 +521,17 @@ def _replay(program: tuple, algebra) -> list:
     interpreter indexes fastest.  A batch whose term count the dict lacks
     compiles the algebra's kernel first, so an algebra compiles only the
     kernels of the programs it runs."""
-    ncells, pair_cells, rows, batches = program
+    ncells, pair_cells, _rows, batches = program
     cells = [algebra.zero] * ncells
     cells[0] = algebra.empty()
     for c, o, u, v in pair_cells:
         cells[c] = algebra.pair(o, u, v)
     kernels = algebra.kernels
-    for k, start, stop in batches:
+    for k, batch in batches:
         kernel = kernels.get(k)
         if kernel is None:
             kernel = kernels[k] = _kernel(type(algebra), k)
-        kernel(cells, rows[start:stop])
+        kernel(cells, batch)
     return cells
 
 
@@ -656,18 +649,18 @@ def _tight_arcs(program: tuple, cells: list, n: int) -> frozenset:
     key.  The best derivations of a cell are exactly those that take a
     tight term and then a best derivation of each operand, so a walk down
     from the answer cell that follows only tight terms visits them all,
-    and they share one weight and one arc count.  If no visited row has
-    two tight terms there is one best derivation, and its arcs are those of
-    the pair cells it reaches.  Otherwise one pass up the visited rows, in
-    cell order (operands come first), gives each the largest arc mask over
-    its tight terms: bit n²−1−r for the arc of rank r = (i−1)·n + (j−1), so
-    of two arc sets of one size the larger mask holds the smallest arc of
-    their symmetric difference and is the lexicographically smaller sorted
-    list.  The operands of a term have disjoint arcs, so their masks add."""
+    and they share one weight and one arc count.  One pass up the visited
+    rows, in cell order (operands come first), then gives each the largest
+    arc mask over its tight terms: bit n²−1−r for the arc of rank
+    r = (i−1)·n + (j−1), so of two arc sets of one size the larger mask
+    holds the smallest arc of their symmetric difference and is the
+    lexicographically smaller sorted list.  The operands of a term have
+    disjoint arcs, so their masks add."""
     _ncells, pair_cells, rows, _batches = program
     first = len(pair_cells) + 1  # the first row's cell
+    nn = n * n
+    mask = {0: 0}  # the identity and each reached pair cell -> its arc mask
     tight: dict = {}  # visited row cell -> its tight terms
-    reached = set()  # the pair cells that tight terms read
     todo = [len(cells) - 1]
     while todo:
         d = todo.pop()
@@ -682,28 +675,30 @@ def _tight_arcs(program: tuple, cells: list, n: int) -> frozenset:
             for c in term:
                 if c >= first:
                     todo.append(c)
-                elif c:
-                    reached.add(c)
-    arcs = {c: _pair_arcs(*pair_cells[c - 1][1:]) for c in reached}
-    if all(len(terms) == 1 for terms in tight.values()):
-        return frozenset(arc for pair in arcs.values() for arc in pair)
-    nn = n * n
-    mask = {0: 0}
-    for c, pair in arcs.items():
-        mask[c] = sum(1 << (nn - i * n + n - j) for i, j in pair)
+                elif c not in mask:
+                    mask[c] = _pair_mask(n, *pair_cells[c - 1][1:])
     for d in sorted(tight):
-        mask[d] = max(mask[l] + mask[r] for l, r in tight[d])
+        mask[d] = max([mask[l] + mask[r] for l, r in tight[d]])
     best = mask[len(cells) - 1]
-    return frozenset((r // n + 1, r % n + 1) for r in range(nn) if best >> (nn - 1 - r) & 1)
+    arcs = []
+    while best:
+        r = nn - best.bit_length()  # the rank of the highest set bit
+        arcs.append((r // n + 1, r % n + 1))
+        best ^= 1 << (nn - 1 - r)
+    return frozenset(arcs)
 
 
-def _pair_arcs(orientation: str, u: int, v: int) -> tuple:
-    """The arcs of a bracket pair of `orientation` over vertices u < v."""
+@lru_cache(maxsize=None)
+def _pair_mask(n: int, orientation: str, u: int, v: int) -> int:
+    """The arc mask (see `_tight_arcs`) of a bracket pair of `orientation`
+    over vertices u < v of n."""
+    nn = n * n
+    forward, backward = 1 << (nn - u * n + n - v), 1 << (nn - v * n + n - u)
     if orientation == FORWARD:
-        return ((u, v),)
+        return forward
     if orientation == BACKWARD:
-        return ((v, u),)
-    return ((u, v), (v, u))
+        return backward
+    return forward | backward
 
 
 def parse_max(w: WeightMatrix, req: Iterable = (),

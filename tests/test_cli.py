@@ -276,14 +276,11 @@ def test_one_parser_serves_every_run(capsys, monkeypatch):
     fresh = []
     for argv in calls:
         with monkeypatch.context() as m:
-            m.setattr(cli, "_parser", cli.build_parser)
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             fresh.append(invoke(capsys, *argv))
-    built = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda build=cli.build_parser: built.append(1) or build())
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     for _ in range(2):
         assert [invoke(capsys, *argv) for argv in calls] == fresh
-    assert len(built) == 1
+    assert cli.build_parser.cache_info().misses == 1
     assert [status for status, _out, _err in fresh] == [2, 2, 2, 0, 0, 0]
     assert fresh[-2][1] == "1792\n"

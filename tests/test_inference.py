@@ -398,25 +398,29 @@ def _assert_set_once_and_coreachable(ncells, pair_cells, groups, empty=(0,), cel
 
 
 def _assert_level_batches(program):
-    """The rows come in batches that tile them in order, one per (level,
-    term count), sorted by level: a row's level is 1 + its operands' top
-    level, the identity and pair cells being level 0.  So a batch reads
-    only cells its earlier batches set, and row i writes cell P + 1 + i,
-    where a traceback finds it."""
+    """Row i writes cell P + 1 + i, where a traceback finds it, and reads
+    only earlier cells.  The batches hold the rows themselves, each row
+    once: one batch per (level, term count), in program order, the batches
+    sorted by level, where a row's level is 1 + its operands' top level,
+    the identity and pair cells being level 0.  So a batch reads only
+    cells its earlier batches set."""
     _ncells, pair_cells, rows, batches = program
     first = len(pair_cells) + 1
     level = [0] * first
-    seen, at = [], 0
-    for k, start, stop in batches:
-        assert start == at < stop
-        at = stop
-        for i, row in enumerate(rows[start:stop], first + start):
-            assert row[0] == i == len(level) and len(row) == 2 * k + 1
-            assert max(row[1:]) < first + start
-            level.append(1 + max(level[c] for c in row[1:]))
-        seen.append((level[-1], k))
-        assert {level[first + i] for i in range(start, stop)} == {level[-1]}
-    assert at == len(rows)
+    for i, row in enumerate(rows, first):
+        assert row[0] == i and len(row) % 2 == 1 and max(row[1:]) < i
+        level.append(1 + max(level[c] for c in row[1:]))
+    seen, ready, batched = [], set(range(first)), []
+    for k, batch in batches:
+        assert batch and all(row is rows[row[0] - first] for row in batch)
+        assert {(level[row[0]], len(row)) for row in batch} == {(level[batch[0][0]], 2 * k + 1)}
+        assert all(ready.issuperset(row[1:]) for row in batch)
+        ready.update(row[0] for row in batch)
+        seen.append((level[batch[0][0]], k))
+        cells = [row[0] for row in batch]
+        assert cells == sorted(cells)
+        batched += cells
+    assert sorted(batched) == list(range(first, first + len(rows)))
     assert seen == sorted(set(seen))
 
 
@@ -561,8 +565,8 @@ def test_shared_program_keeps_repeated_terms():
     # cell 0 is the identity, 1 the pair, 2 joins it with each boundary pair
     # and 3, the answer, joins the one final with the identity: one batch
     # of one two-term row, then one of one one-term row
-    assert program == (4, ((1, FORWARD, 1, 2),), ((2, 1, 1, 0, 0), (3, 2, 0)),
-                       ((2, 0, 1), (1, 1, 2)))
+    rows = ((2, 1, 1, 0, 0), (3, 2, 0))
+    assert program == (4, ((1, FORWARD, 1, 2),), rows, ((2, rows[:1]), (1, rows[1:])))
     [(lefts, rights)] = [lr for dst, lr in groups.items() if keys[dst][0] == "P" and shared[dst] == 2]
     assert len(set(zip(lefts, rights))) == 2
     assert _replay(program, _CountAlgebra())[2:] == [2, 2]
@@ -593,7 +597,8 @@ def test_join_kernels_replay_long_and_single_groups():
                    tuple(rng.randrange(ncells) for _ in range(5000))))
     groups.append(((ncells,), (rng.randrange(ncells),)))
     rows = tuple((first + i, *lefts, *rights) for i, (lefts, rights) in enumerate(groups))
-    batches = tuple((j, 2 * j - 2, 2 * j) for j in range(1, 9)) + ((5000, 16, 17), (1, 17, 18))
+    batches = tuple((j, rows[2 * j - 2:2 * j]) for j in range(1, 9)) + (
+        (5000, rows[16:17]), (1, rows[17:]))
     program = (first + len(rows), pairs, rows, batches)
     _assert_level_batches(program)
     lex = _random_lexicon(rng, n)
@@ -637,7 +642,7 @@ def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
     monkeypatch.setattr(inference, "_kernel",
                         lambda algebra, k: made.append((algebra, k)) or kernel(algebra, k))
     count = count_family_strings(n, fam)
-    sizes = {k for k, _start, _stop in inference._PROGRAMS[n, fam][3]}
+    sizes = {k for k, _batch in inference._PROGRAMS[n, fam][3]}
     assert len(sizes) > 1
     assert sorted(k for _alg, k in made) == sorted(sizes)
     assert {alg for alg, _k in made} == {_CountAlgebra}
@@ -960,7 +965,7 @@ def test_tight_traceback_breaks_a_tie_by_the_arc_masks():
     arcs = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)]
     pairs = tuple((c, FORWARD, u, v) for c, (u, v) in enumerate(arcs, 1))
     rows = ((6, 5, 1), (7, 2, 4, 3, 3), (8, 7, 6, 0, 0))
-    program = (9, pairs, rows, ((1, 0, 1), (2, 1, 2), (2, 2, 3)))
+    program = (9, pairs, rows, ((1, rows[:1]), (2, rows[1:2]), (2, rows[2:])))
     _assert_level_batches(program)
     cells = _replay(program, _MaxAlgebra(WeightMatrix(4, dict.fromkeys(arcs, 1))))
     assert cells[6:] == [2 * 16 - 2] * 3
