@@ -68,7 +68,7 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, TableDfa
-from .chains import BACKWARD, BIDIRECTIONAL, FORWARD
+from .chains import BACKWARD, FORWARD
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
 from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, CLOSER_BASE, OPENER_BASE,
@@ -417,6 +417,7 @@ class _CountAlgebra:
     kernels: dict = {}  # term count -> batch kernel, filled by _replay
     times = "*"
     zero = 0
+    empty = 1
 
     @staticmethod
     def join(terms: list) -> list:
@@ -425,11 +426,11 @@ class _CountAlgebra:
     def __init__(self, lex: Optional[LexicalConstraint] = None):
         self.lex = lex
 
-    def empty(self):
-        return 1
-
-    def pair(self, orientation, u, v):
-        return int(self.lex is None or self.lex.allows(orientation, u, v))
+    def pairs(self, pair_cells: tuple) -> list:
+        """The count of each pair cell (c, orientation, u, v): 1, or 0
+        where the lexicon forbids the pair."""
+        lex = self.lex
+        return [int(lex is None or lex.allows(o, u, v)) for _c, o, u, v in pair_cells]
 
 
 class _MaxAlgebra:
@@ -459,6 +460,7 @@ class _MaxAlgebra:
     kernels: dict = {}  # term count -> batch kernel, filled by _replay
     times = "+"
     zero = -math.inf
+    empty = 0
 
     @staticmethod
     def join(terms: list) -> list:
@@ -466,32 +468,31 @@ class _MaxAlgebra:
                 "c[d] = m"]
 
     def __init__(self, w: WeightMatrix, lex: Optional[LexicalConstraint] = None):
-        n = w.n
-        nn = n * n
         if all(isinstance(v, int) for v in w.w.values()):
-            scaled = w.w
+            self.scaled = w.w
         else:
             exact = {ij: Fraction(v) for ij, v in w.w.items()}
             scale = math.lcm(*(f.denominator for f in exact.values()))
-            scaled = {ij: int(f * scale) for ij, f in exact.items()}
-        weight = scaled.get
-        forbidden = -(sum(scaled.values()) + 2) * nn
-        self._pair = keys = {}  # (orientation, u, v) -> key added by that pair
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                fwd = keys[FORWARD, u, v] = weight((u, v), 0) * nn - 1
-                bwd = keys[BACKWARD, u, v] = weight((v, u), 0) * nn - 1
-                keys[BIDIRECTIONAL, u, v] = fwd + bwd
-        if lex is not None:
-            for o, u, v in keys:
-                if not lex.allows(o, u, v):
-                    keys[o, u, v] = forbidden
+            self.scaled = {ij: int(f * scale) for ij, f in exact.items()}
+        self.nn = w.n * w.n
+        self.lex = lex
 
-    def empty(self):
-        return 0
-
-    def pair(self, orientation, u, v):
-        return self._pair[orientation, u, v]
+    def pairs(self, pair_cells: tuple) -> list:
+        """The key each pair cell (c, orientation, u, v) adds: its arcs'
+        scaled weight times n² less its arc count, or the forbidden key."""
+        weight, nn, lex = self.scaled.get, self.nn, self.lex
+        forbidden = -(sum(self.scaled.values()) + 2) * nn
+        keys = []
+        for _c, o, u, v in pair_cells:
+            if lex is not None and not lex.allows(o, u, v):
+                keys.append(forbidden)
+            elif o == FORWARD:
+                keys.append(weight((u, v), 0) * nn - 1)
+            elif o == BACKWARD:
+                keys.append(weight((v, u), 0) * nn - 1)
+            else:
+                keys.append((weight((u, v), 0) + weight((v, u), 0)) * nn - 2)
+        return keys
 
 
 _PROGRAMS: dict = {}  # (n, family) -> replay program
@@ -509,7 +510,9 @@ def _program(n: int, req: Iterable = ()) -> tuple:
 
 def _replay(program: tuple, algebra) -> list:
     """Values of every cell of `program` under `algebra`, by replaying it
-    without touching the automaton again: one kernel call per batch, the
+    without touching the automaton again: the identity and the pair cells
+    from the algebra's `empty` and one `pairs` call, then one kernel call
+    per batch, the
     algebra's unrolled join for the batch's term count, looped over the
     batch's rows.  The rows of a batch read only cells of lower levels, so
     the batches replay in program order.  The product distributes over the
@@ -523,9 +526,8 @@ def _replay(program: tuple, algebra) -> list:
     kernels of the programs it runs."""
     ncells, pair_cells, _rows, batches = program
     cells = [algebra.zero] * ncells
-    cells[0] = algebra.empty()
-    for c, o, u, v in pair_cells:
-        cells[c] = algebra.pair(o, u, v)
+    cells[0] = algebra.empty
+    cells[1:len(pair_cells) + 1] = algebra.pairs(pair_cells)
     kernels = algebra.kernels
     for k, batch in batches:
         kernel = kernels.get(k)

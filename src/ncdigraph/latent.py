@@ -14,7 +14,8 @@ where ``first`` may be the start anchor ``^``, ``last`` the end anchor
 ``$``, and an empty gap makes ``first`` and ``last`` adjacent.  A string
 has the property iff it contains none of them.  ``RegLat`` and the one
 generic scanner ``ConstraintDfa`` define these recognizers; callers step
-their cached minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``.
+their cached minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``, over
+``alphabet()``, the 162 brackets Reg_lat can read.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import chains
 from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
-                     COVER_TWO_TURN, FORWARD, ChainState, cover_class,
+                     COVER_TWO_TURN, FORWARD, STATES, ChainState, cover_class,
                      first_state, segment_profile, state_by_name)
 from .cfg import Dfa, DyckSpec, TableDfa, dyck_preimage_count
 from .codec import layout
@@ -115,34 +115,28 @@ LatentString = tuple  # of LatentBracket
 
 
 def bracket_valid(b: LatentBracket) -> bool:
-    if b.is_boundary:
-        return b.chain is None and not b.primed and b.cover is COVER_NONE
-    if b.chain is None:
-        return False
-    if b.cover == COVER_TWO_TURN and b.orientation == BIDIRECTIONAL:
-        return False
-    if b.loose:
-        return not b.primed
-    return b.chain in chains.STATE_NAMES
+    """Whether a bracket of base × chain mark × prime × cover is well
+    formed: a loose chain has no prime, and a bidirectional pair no
+    two-turn cover.  RegLat reads no other bracket."""
+    return not (b.loose and b.primed
+                or b.cover == COVER_TWO_TURN and b.orientation == BIDIRECTIONAL)
 
 
 @lru_cache(maxsize=None)
 def alphabet() -> tuple:
-    """All well-formed latent brackets (the D_55-style inventory)."""
-    out = [BOUNDARY_OPEN, BOUNDARY_CLOSE]
-    for orient in (FORWARD, BACKWARD, BIDIRECTIONAL):
-        covers = (COVER_NONE, COVER_CYCLE)
-        if orient != BIDIRECTIONAL:
-            covers = (COVER_NONE, COVER_CYCLE, COVER_TWO_TURN)
-        marks = [(LOOSE, False)]
-        for st in chains.STATES:
-            marks.append((st.name, False))
-            marks.append((st.name, True))
-        for (chain, primed) in marks:
-            for cov in covers:
-                for base in (OPENER_BASE[orient], CLOSER_BASE[orient]):
-                    out.append(LatentBracket(base, chain, primed, cov))
-    return tuple(out)
+    """The 162 latent brackets Reg_lat can read, each opener followed by
+    its closer: the boundary pair, and each edge pair whose opener has a
+    live move in Reg_lat's minimal table over the plain product of base,
+    chain mark, prime and cover, where `RegLat` rejects the ill-formed."""
+    inventory = [LatentBracket(base, chain, primed, cover)
+                 for orient in (FORWARD, BACKWARD, BIDIRECTIONAL)
+                 for chain in (LOOSE, *(st.name for st in STATES))
+                 for primed in (False, True) for cover in _COVER_SUFFIX
+                 for base in (OPENER_BASE[orient], CLOSER_BASE[orient])]
+    table = TableDfa.compile(RegLat(), [BOUNDARY_OPEN, BOUNDARY_CLOSE, *inventory])
+    live = {table.symbols[a] for row in table.delta for a, q in enumerate(row) if q >= 0}
+    return (BOUNDARY_OPEN, BOUNDARY_CLOSE,
+            *(b for o in inventory if o.is_opener and o in live for b in (o, o.partner())))
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +148,10 @@ def partners() -> dict:
 
 
 def d55() -> DyckSpec:
-    """Dyck language over annotated bracket pairs plus the boundary pair."""
-    pairs = [(BOUNDARY_OPEN, BOUNDARY_CLOSE)]
-    partner = partners()
-    for b in alphabet():
-        if b.is_opener:
-            pairs.append((b, partner[b]))
-    return DyckSpec(tuple(pairs))
+    """Dyck language over the pairs of alphabet(): the boundary pair and
+    the 80 edge pairs Reg_lat can read."""
+    syms = alphabet()
+    return DyckSpec(tuple(zip(syms[::2], syms[1::2])))
 
 
 def h_lat(s: Sequence) -> str:
@@ -177,6 +168,8 @@ def _bracket_of_token() -> dict:
 
 
 def parse_latent(text: str) -> LatentString:
+    """The brackets of a token string, each alphabet()'s own object.  A
+    token outside alphabet(), well formed or not, raises ValueError."""
     bracket_of = _bracket_of_token()
     out = []
     pos = 0
@@ -335,7 +328,7 @@ CLASSES = {
 
 
 def bracket_classes() -> dict:
-    """The named classes as concrete bracket sets over the full inventory."""
+    """The named classes as concrete bracket sets over alphabet()."""
     return {name: frozenset(filter(pred, alphabet()))
             for name, pred in CLASSES.items()}
 
@@ -407,8 +400,10 @@ def constraint_accepts(prop: PropertyId, s: Sequence) -> bool:
 
 class RegLat(Dfa):
     """States summarize the previous bracket; annotations are verified
-    locally.  Accepted strings, intersected with D_55, are exactly the
-    latent encodings of loop-free noncrossing digraphs."""
+    locally, and a bracket `bracket_valid` rejects is read nowhere.
+    Accepted strings, intersected with D_55, are exactly the latent
+    encodings of loop-free noncrossing digraphs.  The brackets it can read
+    make up alphabet()."""
 
     start = ("start",)
 
@@ -463,7 +458,8 @@ class RegLat(Dfa):
 
 @lru_cache(maxsize=None)
 def reg_lat() -> TableDfa:
-    """The minimal table of Reg_lat over the alphabet, built once."""
+    """The minimal table of Reg_lat over the alphabet (23 states), built
+    once."""
     return TableDfa.compile(RegLat(), alphabet())
 
 

@@ -212,8 +212,8 @@ def test_out_counts_match_enumeration_and_chart():
 
 
 def test_family_automaton_minimal_state_counts():
-    want = {"": 32, "ACYC_D": 31, "ACYC_U": 18, "UNAMB_S": 23, "PROJ_W": 48,
-            "OUT": 59, "polytree": 18, "out-tree": 32, "multitree": 21}
+    want = {"": 23, "ACYC_D": 21, "ACYC_U": 18, "UNAMB_S": 20, "PROJ_W": 30,
+            "OUT": 33, "polytree": 17, "out-tree": 24, "multitree": 17}
     got = {name: len(family_automaton(parse_property_set(name)).delta)
            for name in want}
     assert got == want
@@ -439,12 +439,11 @@ def _labelled_values(alg, keys, groups):
     time: the value of every cell the compiler made, before the trim and
     the sharing."""
     times, join = _times_join(alg)
-    values = {}
+    pairs = [(c, key[1], *key[2]) for c, key in enumerate(keys) if key[0] == "pair"]
+    values = dict(zip([c for c, _o, _u, _v in pairs], alg.pairs(pairs)))
     for c, key in enumerate(keys):
-        if key[0] == "pair":
-            values[c] = alg.pair(key[1], *key[2])
-        elif _is_empty_cell(key):
-            values[c] = alg.empty()
+        if _is_empty_cell(key):
+            values[c] = alg.empty
     for dst, (lefts, rights) in groups.items():
         values[dst] = join(map(times, map(values.get, lefts), map(values.get, rights)))
     return values
@@ -604,7 +603,7 @@ def test_join_kernels_replay_long_and_single_groups():
     lex = _random_lexicon(rng, n)
     for alg, times, join in ((_CountAlgebra(lex), operator.mul, sum),
                              (_MaxAlgebra(random_weights(rng, n), lex), operator.add, max)):
-        want = [alg.empty()] + [alg.pair(o, u, v) for _c, o, u, v in pairs]
+        want = [alg.empty, *alg.pairs(pairs)]
         for lefts, rights in groups:
             want.append(join(times(want[a], want[b]) for a, b in zip(lefts, rights)))
         assert _replay(program, alg) == want
@@ -1231,11 +1230,12 @@ def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
         return int(weight) * n * n - len(arcs)
 
     forbidden = -(int(sum(exact.values()) * scale) + 2) * n * n
-    alg = _MaxAlgebra(w, lex)
+    pair_cells, want = [], []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             for o, arcs in ((FORWARD, [(u, v)]), (BACKWARD, [(v, u)]),
                             (BIDIRECTIONAL, [(u, v), (v, u)])):
-                want = key(arcs) if lex is None or lex.allows(o, u, v) else forbidden
-                got = alg.pair(o, u, v)
-                assert got == want and type(got) is int
+                pair_cells.append((len(pair_cells) + 1, o, u, v))
+                want.append(key(arcs) if lex is None or lex.allows(o, u, v) else forbidden)
+    got = _MaxAlgebra(w, lex).pairs(tuple(pair_cells))
+    assert got == want and all(type(key) is int for key in got)

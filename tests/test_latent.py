@@ -12,17 +12,17 @@ import pytest
 from ncdigraph import cfg, inference
 from ncdigraph.chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE,
                               COVER_NONE, COVER_TWO_TURN, FORWARD, LOOSE, ONE,
-                              ZERO, chain_step)
+                              STATES, ZERO, chain_step)
 from ncdigraph.codec import encode_digraph
 from ncdigraph.digraphs import (ALL_PROPERTIES, PropertyId,
                                 check_property, enumerate_noncrossing_digraphs,
                                 make_digraph)
-from ncdigraph.latent import (END, FORBIDDEN, START, ConstraintDfa,
-                              LatentBracket, RegLat, alphabet, bracket_classes,
-                              bracket_valid, constraint_accepts,
-                              constraint_dfa, d55, h_lat, latent_encode,
-                              latent_to_str, maximal_chains, parse_latent,
-                              preimage_count, reg_lat)
+from ncdigraph.latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, END, FORBIDDEN,
+                              START, ConstraintDfa, LatentBracket, RegLat,
+                              alphabet, bracket_classes, bracket_valid,
+                              constraint_accepts, constraint_dfa, d55, h_lat,
+                              latent_encode, latent_to_str, maximal_chains,
+                              parse_latent, partners, preimage_count, reg_lat)
 
 
 def test_chain_step_glosses():
@@ -104,10 +104,11 @@ def test_latent_round_trip_tokens():
 def test_parse_latent_reads_each_token_by_its_parts():
     # every token the tokenizer can read (a base, an optional chain mark and
     # an optional cover suffix) is the bracket its parts name when that
-    # bracket is well formed, and an error naming the token otherwise
+    # bracket is in the alphabet, and an error naming the token otherwise
     cover_of = {"": COVER_NONE, "*": COVER_CYCLE, "^": COVER_TWO_TURN}
     letters = string.ascii_letters
     marks = ["", LOOSE, *letters, *(c + "'" for c in letters)]
+    symbols = set(alphabet())
     accepted = 0
     for base in "{}[]/><\\":
         for mark in marks:
@@ -118,7 +119,7 @@ def test_parse_latent_reads_each_token_by_its_parts():
                 else:
                     b = LatentBracket(base, mark.rstrip("'") or None,
                                       mark.endswith("'"), cover_of[suffix])
-                    want = b if bracket_valid(b) else None
+                    want = b if b in symbols else None
                 if want is None:
                     with pytest.raises(ValueError) as info:
                         parse_latent(token)
@@ -127,7 +128,51 @@ def test_parse_latent_reads_each_token_by_its_parts():
                     assert parse_latent(token) == (want,), token
                     accepted += 1
     assert len(marks) * 3 * 8 == 2_544
-    assert accepted == len(alphabet())
+    assert accepted == len(alphabet()) == 162
+
+
+def test_parse_latent_names_a_well_formed_token_reg_lat_never_reads():
+    # a forward edge never ends a chain in state f (one backward step), so
+    # the well-formed brackets /f and >f are not in the alphabet
+    for token in ("/f", ">f"):
+        [b] = [b for b in _inventory() if b.token == token]
+        assert bracket_valid(b) and b not in alphabet()
+        with pytest.raises(ValueError) as info:
+            parse_latent("/F'" + token)
+        assert repr(token) in str(info.value)
+
+
+def _inventory() -> list:
+    """Every combination of edge base, chain mark, prime and cover (540
+    brackets), and the boundary pair."""
+    marks = [".", *(st.name for st in STATES)]
+    return [BOUNDARY_OPEN, BOUNDARY_CLOSE] + [
+        LatentBracket(base, mark, primed, cover) for base in "/><\\[]" for mark in marks
+        for primed in (False, True) for cover in (COVER_NONE, COVER_CYCLE, COVER_TWO_TURN)]
+
+
+def test_alphabet_is_what_reg_lat_reads():
+    # Reg_lat compiled over the whole inventory reads 80 openers; the
+    # alphabet is those pairs and the boundary pair, closed under partners,
+    # and holds every opener that the ∅ chart keeps at n = 8
+    inventory = _inventory()
+    assert len(inventory) == len(set(inventory)) == 542
+    table = cfg.TableDfa.compile(RegLat(), inventory)
+    read = {inventory[a] for row in table.delta for a, q in enumerate(row) if q >= 0}
+    openers = {b for b in read if b.is_opener}
+    assert len(openers) == 80
+    assert set(alphabet()) == ({BOUNDARY_OPEN, BOUNDARY_CLOSE} | openers
+                               | {o.partner() for o in openers})
+    assert len(alphabet()) == 162
+    partner = partners()
+    assert set(partner) == set(alphabet())
+    assert all(partner[partner[b]] is b and partner[b] == b.partner() for b in alphabet())
+    assert d55().symbols() == frozenset(alphabet())
+    _program, (_keys, shared, _groups, chart_openers, _finals) = inference._compile(
+        8, inference.family_automaton(frozenset()))
+    kept = {o for f, pair_openers in chart_openers.items() if shared[f] >= 0
+            for o in pair_openers if o is not None}
+    assert len(kept) == 68 and kept <= openers
 
 
 def test_bracket_hash_survives_pickling_across_processes():
@@ -322,7 +367,7 @@ def test_reg_lat_state_count_regression_warning():
 def test_recognizer_table_sizes():
     assert isinstance(reg_lat(), cfg.TableDfa)
     assert reg_lat() is reg_lat()
-    assert len(reg_lat().delta) == 32
+    assert len(reg_lat().delta) == 23
     want = {PropertyId.OUT: 2, PropertyId.INV: 1, PropertyId.ORIENTED: 1,
             PropertyId.PROJ_W: 3, PropertyId.ACYC_D: 4, PropertyId.ACYC_U: 2,
             PropertyId.CONN_W: 4, PropertyId.UNAMB_S: 4}
