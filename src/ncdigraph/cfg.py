@@ -12,8 +12,8 @@ the last position to the first, for any grammar with finite counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
+from weakref import WeakValueDictionary
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,20 @@ class ProductDfa(Dfa):
         return all(c.is_final(qc) for c, qc in zip(self.components, q))
 
 
-@lru_cache(maxsize=None)
-def _column_index(symbols: tuple) -> dict:
-    """{symbol: column} of a symbol tuple, one dict shared by every table
-    over that tuple."""
-    return {sym: a for a, sym in enumerate(symbols)}
+class _Columns:
+    """The {symbol: column} dict of a symbol tuple.  Every table over the
+    tuple holds the one instance and the cache holds it weakly, so it
+    lives as long as such a table does: a one-off table, such as the one
+    `latent.alphabet()` compiles over every candidate bracket, leaves no
+    entry behind."""
+
+    __slots__ = ("index", "__weakref__")
+
+    def __init__(self, symbols: tuple):
+        self.index = {sym: a for a, sym in enumerate(symbols)}
+
+
+_COLUMNS: WeakValueDictionary = WeakValueDictionary()  # symbols -> _Columns
 
 
 class TableDfa(Dfa):
@@ -157,7 +166,11 @@ class TableDfa(Dfa):
 
     def __init__(self, symbols: Sequence, delta: tuple, final: tuple):
         self.symbols = tuple(symbols)
-        self.index = _column_index(self.symbols)
+        columns = _COLUMNS.get(self.symbols)
+        if columns is None:
+            columns = _COLUMNS[self.symbols] = _Columns(self.symbols)
+        self._columns = columns  # keeps the shared index cached
+        self.index = columns.index
         self.delta = delta
         self.final = final
 

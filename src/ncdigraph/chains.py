@@ -29,11 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-FORWARD = "forward"
-BACKWARD = "backward"
-BIDIRECTIONAL = "bidirectional"
-
-ORIENTATIONS = (FORWARD, BACKWARD, BIDIRECTIONAL)
+from .codec import BACKWARD, BIDIRECTIONAL, FORWARD, PAIRS
 
 # Cover classes: extra latent information carried by an edge about the chain
 # it covers.  COVER_NONE also applies when the edge covers no chain at all.
@@ -52,11 +48,8 @@ class SegmentProfile:
     pend_b: bool
 
 
-_PLAIN = {
-    FORWARD: SegmentProfile(True, False, False, False),
-    BACKWARD: SegmentProfile(False, True, False, False),
-    BIDIRECTIONAL: SegmentProfile(True, True, False, False),
-}
+# a plain edge's strands are the arcs of its pair
+_PLAIN = {o: SegmentProfile(p.forward, p.backward, False, False) for o, p in PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -159,16 +152,17 @@ def segment_profile(orientation: str, cls: str | None) -> SegmentProfile:
     if cls == COVER_CYCLE:
         return SegmentProfile(True, True, False, False)
     if cls == COVER_TWO_TURN:
-        if orientation == FORWARD:
-            return SegmentProfile(True, False, False, True)
-        if orientation == BACKWARD:
-            return SegmentProfile(False, True, True, False)
-        raise ValueError("a bidirectional edge never carries the two-turn class")
+        # the covered two-turn chain leaves ambiguity pending against the
+        # strand the edge does not have
+        p = _PLAIN[orientation]
+        if p.fwd and p.bwd:
+            raise ValueError("a bidirectional edge never carries the two-turn class")
+        return SegmentProfile(p.fwd, p.bwd, p.bwd, p.fwd)
     raise ValueError(f"unknown cover class {cls!r}")
 
 
 ALL_PROFILES = tuple(sorted(
-    {_PLAIN[o] for o in ORIENTATIONS}
+    set(_PLAIN.values())
     | {SegmentProfile(True, False, False, True), SegmentProfile(False, True, True, False)},
     key=lambda p: (p.fwd, p.bwd, p.pend_f, p.pend_b),
 ))

@@ -2,56 +2,82 @@
 
 Per vertex i, the encoder emits closers for edges {j,i} with j running from
 i-1 down to 1, then openers for edges {i,j} with j from n down to i+1, then
-``[]`` for a self-loop, then the separator ``{}`` unless i = n (``layout``
-holds this order for both encoders and the latent encoding).  For digraphs
-the bracket pair carries the arc orientation::
-
-    / >   (i,j) in A, (j,i) not in A
-    < \\   (i,j) not in A, (j,i) in A
-    [ ]   both
-
-Decoding is a single stack pass; ``{`` advances the vertex counter and ``}``
-is otherwise ignored (but must immediately follow ``{``).  The pass rejects
-every string no digraph encodes to: a second bracket pair over one span, a
+``[]`` for a self-loop, then the separator ``{}`` unless i = n.  ``layout``
+holds this order, with each pair's orientation, for both encoders and the
+latent encoding.  For digraphs the bracket pair carries the arc
+orientation, as ``PAIRS`` states; a graph is encoded as the digraph with
+both arcs of each edge, so its pairs are all ``[ ]``.  Decoding is a
+single stack pass; ``{`` advances the vertex counter and ``}`` is otherwise
+ignored (but must immediately follow ``{``).  The pass rejects every
+string no digraph encodes to: a second bracket pair over one span, a
 self-loop written other than ``[]``, and anything but ``{`` or the end of
-the string after a self-loop.  A graph string is
-a digraph string over ``[ ] { }`` alone, read through its underlying graph.
+the string after a self-loop.  A graph string is a digraph string over
+``[ ] { }`` alone, read through its underlying graph.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .digraphs import Digraph, Graph, is_noncrossing, underlying
 
-OPENERS = "[/<"
-CLOSERS = "]>\\"
-KIND = {"]": "[", ">": "/", "\\": "<"}
+FORWARD = "forward"
+BACKWARD = "backward"
+BIDIRECTIONAL = "bidirectional"
+
+
+class BracketPair(NamedTuple):
+    """What a bracket pair over vertices u < v means: its opener and
+    closer, and whether it stands for the arc (u, v) and the arc (v, u)."""
+
+    opener: str
+    closer: str
+    forward: bool
+    backward: bool
+
+
+# The one statement of each orientation's pair; every other map of
+# brackets, orientations and arcs is derived from it.
+PAIRS = {FORWARD: BracketPair("/", ">", True, False),
+         BACKWARD: BracketPair("<", "\\", False, True),
+         BIDIRECTIONAL: BracketPair("[", "]", True, True)}
+
+OPENERS = "".join(p.opener for p in PAIRS.values())
+CLOSERS = "".join(p.closer for p in PAIRS.values())
+ORIENTATION_OF_BASE = {b: o for o, p in PAIRS.items() for b in (p.opener, p.closer)}
+PARTNER = {"{": "}", "}": "{", **{p.opener: p.closer for p in PAIRS.values()},
+           **{p.closer: p.opener for p in PAIRS.values()}}  # separator halves too
+_ORIENTATION_OF_ARCS = {(p.forward, p.backward): o for o, p in PAIRS.items()}
 
 
 class CodecError(ValueError):
     pass
 
 
-def _orientation_brackets(g: Digraph, u: int, v: int) -> tuple:
-    fwd = (u, v) in g.arcs
-    bwd = (v, u) in g.arcs
-    if fwd and bwd:
-        return "[", "]"
-    if fwd:
-        return "/", ">"
-    if bwd:
-        return "<", "\\"
-    raise AssertionError("no arc between endpoints")
+def pair_arcs(orientation: str, u: int, v: int) -> tuple:
+    """The arcs a pair of `orientation` over vertices u < v stands for."""
+    p = PAIRS[orientation]
+    return ((u, v),) * p.forward + ((v, u),) * p.backward
 
 
-def layout(n: int, spans, loops=()) -> list:
-    """The items of the base bracket string in order: ("close", j, i) and
-    ("open", i, j) for spans (i, j) with i < j, ("loop", i) and the
-    separator ("sep",).  This is the one place that knows the order."""
+def pair_orientations(arcs) -> dict:
+    """{(i, j): its pair's orientation} for each span i < j that an arc of
+    the set `arcs` joins: the one place that reads an orientation off arcs."""
+    spans = {(u, v) if u < v else (v, u) for (u, v) in arcs if u != v}
+    return {s: _ORIENTATION_OF_ARCS[s in arcs, s[::-1] in arcs] for s in spans}
+
+
+def layout(n: int, pairs: dict, loops=()) -> list:
+    """The items of the base bracket string in order: ("close", (i, j), o)
+    and ("open", (i, j), o) for each span (i, j) of `pairs`, o its pair's
+    orientation, ("loop", i) for i in `loops` and the separator ("sep",).
+    This is the one place that knows the order."""
     closers: list = [[] for _ in range(n + 1)]
     openers: list = [[] for _ in range(n + 1)]
-    for (i, j) in sorted(spans, reverse=True):
-        closers[j].append(("close", i, j))
-        openers[i].append(("open", i, j))
+    for span in sorted(pairs, reverse=True):
+        o = pairs[span]
+        closers[span[1]].append(("close", span, o))
+        openers[span[0]].append(("open", span, o))
     items: list = []
     for i in range(1, n + 1):
         items += closers[i]
@@ -63,28 +89,31 @@ def layout(n: int, spans, loops=()) -> list:
     return items
 
 
+def _encode(n: int, pairs: dict, loops) -> str:
+    out = []
+    for it in layout(n, pairs, loops):
+        kind = it[0]
+        if kind == "close":
+            out.append(PAIRS[it[2]].closer)
+        elif kind == "open":
+            out.append(PAIRS[it[2]].opener)
+        else:
+            out.append("[]" if kind == "loop" else "{}")
+    return "".join(out)
+
+
 def encode_graph(g: Graph) -> str:
+    """The digraph encoding with every edge a bidirectional pair."""
     if not is_noncrossing(g):
         raise CodecError("graph has crossing edges")
-    tokens = {"close": "]", "open": "[", "loop": "[]", "sep": "{}"}
-    return "".join(tokens[it[0]] for it in layout(
-        g.n, [(u, v) for (u, v) in g.edges if u < v],
-        {u for (u, v) in g.edges if u == v}))
+    return _encode(g.n, {(u, v): BIDIRECTIONAL for (u, v) in g.edges if u < v},
+                   {u for (u, v) in g.edges if u == v})
 
 
 def encode_digraph(g: Digraph) -> str:
     if not is_noncrossing(g):
         raise CodecError("digraph has crossing arcs")
-    spans = {(min(u, v), max(u, v)) for (u, v) in g.arcs if u != v}
-    out = []
-    for it in layout(g.n, spans, {u for (u, v) in g.arcs if u == v}):
-        if it[0] == "close":
-            out.append(_orientation_brackets(g, it[1], it[2])[1])
-        elif it[0] == "open":
-            out.append(_orientation_brackets(g, it[1], it[2])[0])
-        else:
-            out.append("[]" if it[0] == "loop" else "{}")
-    return "".join(out)
+    return _encode(g.n, pair_orientations(g.arcs), {u for (u, v) in g.arcs if u == v})
 
 
 def decode_graph(s: str) -> Graph:
@@ -111,8 +140,8 @@ def decode_digraph(s: str, allow_loops: bool = True) -> Digraph:
             if not stack:
                 raise CodecError(f"unbalanced {c!r}")
             kind, i = stack.pop()
-            if kind != KIND[c]:
-                raise CodecError(f"{c!r} closes {KIND[c]!r}, found {kind!r}")
+            if kind != PARTNER[c]:
+                raise CodecError(f"{c!r} closes {PARTNER[c]!r}, found {kind!r}")
             if i == n and not allow_loops:
                 raise CodecError("self-loop in loop-free mode")
             if i == n and (c != "]" or prev != "["):

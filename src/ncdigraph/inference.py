@@ -5,10 +5,12 @@ The search space is the language D_55 ∩ Reg_lat ∩ (family constraints) ∩
 (lexical constraints) of encodings of n-vertex digraphs, represented as a
 Bar-Hillel product of the Dyck grammar with a recognizer.  The recognizer is
 the minimal integer table of Reg_lat ∩ (family constraints), built once per
-family.  Chart items are (vertex, state) nodes: the vertex comes from the
-chart's position, so the chart itself fixes the vertex count (n - 1 boundary
-pairs), and every bracket pair knows its vertex endpoints and its arc
-weights.  Items are computed by increasing vertex span in one bottom-up
+family.  The chart reads nothing else of the latent alphabet: it takes the
+states and symbols from the table, and each opener's closer column from the
+table's own index, so it compiles any table of paired brackets.  Chart
+items are (vertex, state) nodes: the vertex comes from the chart's position,
+so the chart itself fixes the vertex count (n - 1 boundary pairs), and
+every bracket pair knows its vertex endpoints and its arc weights.  Items are computed by increasing vertex span in one bottom-up
 pass, compiled once per (n, family) into a weight-independent program.  Each
 span has P(a, b) cells that join the span's bracket pairs with end nodes a
 and b, and S cells that join P(a, b) with the S cells continuing from b; a
@@ -68,11 +70,11 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from .cfg import Grammar, TableDfa
-from .chains import BACKWARD, FORWARD
+from .codec import BACKWARD, FORWARD, PAIRS, pair_arcs
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
-from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, CLOSER_BASE, OPENER_BASE,
-                     LatentBracket, constraint_dfa, partners, reg_lat)
+from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, LatentBracket,
+                     constraint_dfa, reg_lat)
 
 
 class NoParseError(ValueError):
@@ -127,8 +129,9 @@ class LexicalConstraint:
 
     def allows(self, orientation: str, u: int, v: int) -> bool:
         """Whether u allows the opener and v > u the closer of this pair."""
-        return (_FLAG_OF_BASE[OPENER_BASE[orientation]] in self.allowed(u)
-                and _FLAG_OF_BASE[CLOSER_BASE[orientation]] in self.allowed(v))
+        pair = PAIRS[orientation]
+        return (_FLAG_OF_BASE[pair.opener] in self.allowed(u)
+                and _FLAG_OF_BASE[pair.closer] in self.allowed(v))
 
 
 @dataclass(frozen=True)
@@ -148,16 +151,20 @@ def family_automaton(req: frozenset) -> TableDfa:
     return auto
 
 
+def _closers(auto: TableDfa) -> dict:
+    """{opener: the column of its closer} over the symbols of `auto`, read
+    from the table itself, so any table of paired brackets has them."""
+    return {b: auto.index[b.partner()] for b in auto.symbols if b.is_opener}
+
+
 def _moves(auto: TableDfa) -> tuple:
     """Per state of `auto`: the state after a boundary pair {} (-1 if
     dead), and the live openers as (opener, state after it, column of its
-    closer)."""
+    closer).  The closer columns come from `_closers`, once per table."""
     lb, rb = auto.index[BOUNDARY_OPEN], auto.index[BOUNDARY_CLOSE]
     boundary = [-1 if row[lb] < 0 else auto.delta[row[lb]][rb] for row in auto.delta]
-    partner, index = partners(), auto.index
-    openers = [[(b, q2, index[partner[b]])
-                for b, q2 in zip(auto.symbols, row) if q2 >= 0 and b.is_opener]
-               for row in auto.delta]
+    columns = [(auto.index[b], b, c) for b, c in _closers(auto).items()]
+    openers = [[(b, row[a], c) for a, b, c in columns if row[a] >= 0] for row in auto.delta]
     return boundary, openers
 
 
@@ -189,9 +196,10 @@ def _live(n: int, auto: TableDfa, boundary: list, openers: list) -> list:
 
 def _compile(n: int, auto: TableDfa):
     """The reduced span DP over (vertex, state) nodes for n vertices and
-    the family table `auto` as one program of grouped joins, independent
-    of weights and lexicon: the states come from the table, the vertices
-    from the chart.
+    the table `auto` as one program of grouped joins, independent of
+    weights and lexicon: the states and each pair's closer come from the
+    table, the vertices from the chart.  `auto` may be any table of paired
+    brackets that holds the boundary pair, not only a family table.
     Returns (program, (cell_keys, shared, groups, openers, finals)):
 
     - program = (ncells, pair_cells, rows, batches), the hash-consed
@@ -595,8 +603,8 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     """
     _check(n, lex)
     key = (n, frozenset(req))
-    program, (cell_keys, shared, groups, openers, finals) = _compile(
-        n, family_automaton(key[1]))
+    auto = family_automaton(key[1])
+    program, (cell_keys, shared, groups, openers, finals) = _compile(n, auto)
     _PROGRAMS[key] = program
     counts = _replay(program, _CountAlgebra(lex))
 
@@ -608,7 +616,7 @@ def build_intersection_grammar(n: int, req: Iterable = (),
         return ("P" if kind == "P" else "S", a, b)
 
     start = ("S0",)
-    partner = partners()
+    closer = {b: auto.symbols[c] for b, c in _closers(auto).items()}
     productions: dict = {}  # an ordered set, in walk order
     reached = bytearray(len(cell_keys))
     for _qf, c in finals:
@@ -629,10 +637,10 @@ def build_intersection_grammar(n: int, req: Iterable = (),
             elif (o := pair_openers[i]) is None:
                 rhs = (BOUNDARY_OPEN, BOUNDARY_CLOSE)
             elif cell_keys[right][0] == "{}":
-                rhs = (o, BOUNDARY_OPEN, BOUNDARY_CLOSE, partner[o])
+                rhs = (o, BOUNDARY_OPEN, BOUNDARY_CLOSE, closer[o])
             else:
                 reached[right] = 1
-                rhs = (o, nt(right), partner[o])
+                rhs = (o, nt(right), closer[o])
             productions[nt(dst), rhs] = None
     productions.update(dict.fromkeys((nt(c), ()) for c, (kind, a, b) in enumerate(cell_keys)
                                      if reached[c] and kind == "S" and a == b))
@@ -694,13 +702,7 @@ def _tight_arcs(program: tuple, cells: list, n: int) -> frozenset:
 def _pair_mask(n: int, orientation: str, u: int, v: int) -> int:
     """The arc mask (see `_tight_arcs`) of a bracket pair of `orientation`
     over vertices u < v of n."""
-    nn = n * n
-    forward, backward = 1 << (nn - u * n + n - v), 1 << (nn - v * n + n - u)
-    if orientation == FORWARD:
-        return forward
-    if orientation == BACKWARD:
-        return backward
-    return forward | backward
+    return sum(1 << (n * n - 1 - (i - 1) * n - (j - 1)) for i, j in pair_arcs(orientation, u, v))
 
 
 def parse_max(w: WeightMatrix, req: Iterable = (),

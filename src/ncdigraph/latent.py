@@ -6,15 +6,18 @@ after this edge, or a loose marker ``.`` when the chain starts right after a
 ``}``; (ii) a prime on the pair that begins a non-loose chain; (iii) a cover
 class recording what the edge covers (see ``chains.cover_class``).  Opener
 and closer of a pair carry identical annotations, so the Dyck check
-transports chain states from left to right.  ``Reg_lat`` validates the
-annotations against their left context.  Each family constraint of the
-axiomatization is then Table 1 as data: ``FORBIDDEN`` lists, per property,
-factors ``first gap* last`` over the named bracket classes of ``CLASSES``,
-where ``first`` may be the start anchor ``^``, ``last`` the end anchor
-``$``, and an empty gap makes ``first`` and ``last`` adjacent.  A string
-has the property iff it contains none of them.  ``RegLat`` and the one
-generic scanner ``ConstraintDfa`` define these recognizers; callers step
-their cached minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``, over
+transports chain states from left to right.  A bracket's base means what
+the codec's ``PAIRS`` states (its orientation, its partner and the arcs of
+its pair), and the encoder reads each pair's orientation off the codec's
+``layout``.  ``Reg_lat`` validates the annotations against their left
+context.  Each family constraint of the axiomatization is then Table 1 as
+data: ``FORBIDDEN`` lists, per property, factors ``first gap* last`` over
+the named bracket classes of ``CLASSES``, where ``first`` may be the start
+anchor ``^``, ``last`` the end anchor ``$``, and an empty gap makes
+``first`` and ``last`` adjacent.  A string has the property iff it
+contains none of them.  ``RegLat`` and the one generic scanner
+``ConstraintDfa`` define these recognizers; callers step their cached
+minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``, over
 ``alphabet()``, the 162 brackets Reg_lat can read.
 """
 
@@ -25,19 +28,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .chains import (BACKWARD, BIDIRECTIONAL, COVER_CYCLE, COVER_NONE,
-                     COVER_TWO_TURN, FORWARD, STATES, ChainState, cover_class,
-                     first_state, segment_profile, state_by_name)
+from .chains import (COVER_CYCLE, COVER_NONE, COVER_TWO_TURN, LOOSE, STATES,
+                     ChainState, cover_class, first_state, segment_profile,
+                     state_by_name)
 from .cfg import Dfa, DyckSpec, TableDfa, dyck_preimage_count
-from .codec import layout
+from .codec import (BIDIRECTIONAL, CLOSERS, OPENERS, ORIENTATION_OF_BASE, PAIRS,
+                    PARTNER, layout, pair_orientations)
 from .digraphs import Digraph, PropertyId, is_noncrossing
-
-OPENER_BASE = {FORWARD: "/", BACKWARD: "<", BIDIRECTIONAL: "["}
-CLOSER_BASE = {FORWARD: ">", BACKWARD: "\\", BIDIRECTIONAL: "]"}
-ORIENT_OF_BASE = {"/": FORWARD, ">": FORWARD, "<": BACKWARD, "\\": BACKWARD,
-                  "[": BIDIRECTIONAL, "]": BIDIRECTIONAL}
-
-LOOSE = "."
 
 _COVER_SUFFIX = {COVER_NONE: "", COVER_CYCLE: "*", COVER_TWO_TURN: "^"}
 
@@ -69,15 +66,15 @@ class LatentBracket:
 
     @property
     def is_opener(self) -> bool:
-        return self.base in "[/<"
+        return self.base in OPENERS
 
     @property
     def is_closer(self) -> bool:
-        return self.base in "]>\\"
+        return self.base in CLOSERS
 
     @property
     def orientation(self) -> str:
-        return ORIENT_OF_BASE[self.base]
+        return ORIENTATION_OF_BASE[self.base]
 
     @property
     def loose(self) -> bool:
@@ -98,11 +95,7 @@ class LatentBracket:
 
     def partner(self) -> "LatentBracket":
         """The matching bracket of the pair (same annotations)."""
-        if self.is_boundary:
-            return LatentBracket("}" if self.base == "{" else "{", None)
-        o = self.orientation
-        base = CLOSER_BASE[o] if self.is_opener else OPENER_BASE[o]
-        return LatentBracket(base, self.chain, self.primed, self.cover)
+        return LatentBracket(PARTNER[self.base], self.chain, self.primed, self.cover)
 
     def __str__(self) -> str:
         return self.token
@@ -129,22 +122,14 @@ def alphabet() -> tuple:
     live move in Reg_lat's minimal table over the plain product of base,
     chain mark, prime and cover, where `RegLat` rejects the ill-formed."""
     inventory = [LatentBracket(base, chain, primed, cover)
-                 for orient in (FORWARD, BACKWARD, BIDIRECTIONAL)
+                 for pair in PAIRS.values()
                  for chain in (LOOSE, *(st.name for st in STATES))
                  for primed in (False, True) for cover in _COVER_SUFFIX
-                 for base in (OPENER_BASE[orient], CLOSER_BASE[orient])]
+                 for base in (pair.opener, pair.closer)]
     table = TableDfa.compile(RegLat(), [BOUNDARY_OPEN, BOUNDARY_CLOSE, *inventory])
     live = {table.symbols[a] for row in table.delta for a, q in enumerate(row) if q >= 0}
     return (BOUNDARY_OPEN, BOUNDARY_CLOSE,
             *(b for o in inventory if o.is_opener and o in live for b in (o, o.partner())))
-
-
-@lru_cache(maxsize=None)
-def partners() -> dict:
-    """{bracket: its partner} over alphabet(), built once; each partner is
-    the alphabet's own object, so a lookup builds no bracket."""
-    own = {b: b for b in alphabet()}
-    return {b: own[b.partner()] for b in alphabet()}
 
 
 def d55() -> DyckSpec:
@@ -192,13 +177,6 @@ def latent_to_str(s: Sequence) -> str:
 # ---------------------------------------------------------------------------
 # Encoding: compute the unique annotation of a digraph's bracket string.
 
-def _orientation(g: Digraph, u: int, v: int) -> str:
-    fwd, bwd = (u, v) in g.arcs, (v, u) in g.arcs
-    if fwd and bwd:
-        return BIDIRECTIONAL
-    return FORWARD if fwd else BACKWARD
-
-
 @dataclass
 class _EdgeInfo:
     loose: bool
@@ -210,29 +188,23 @@ class _EdgeInfo:
 
 def _annotate(g: Digraph) -> tuple:
     """Returns (codec layout items, per-edge info keyed by (u,v) span); a
-    separator item stands for the boundary pair b{ b}."""
+    separator item stands for the boundary pair b{ b}, and a pair item
+    carries its orientation."""
     if any(u == v for (u, v) in g.arcs):
         raise ValueError("latent encoding requires a loop-free digraph")
     if not is_noncrossing(g):
         raise ValueError("latent encoding requires a noncrossing digraph")
-    items = layout(g.n, {(min(u, v), max(u, v)) for (u, v) in g.arcs})
-    open_pos = {}
-    close_pos = {}
-    for pos, it in enumerate(items):
-        if it[0] == "open":
-            open_pos[it[1:]] = pos
-        elif it[0] == "close":
-            close_pos[it[1:]] = pos
+    items = layout(g.n, pair_orientations(g.arcs))
+    open_pos = {it[1]: pos for pos, it in enumerate(items) if it[0] == "open"}
     info: dict = {}
     next_chain = 0
     for pos, it in enumerate(items):
         if it[0] != "close":
             continue
-        e = it[1:]
-        orient = _orientation(g, *e)
-        prev_c = items[close_pos[e] - 1] if close_pos[e] > 0 else None
-        if prev_c is not None and prev_c[0] == "close" and not info[prev_c[1:]].loose:
-            cov = cover_class(orient, info[prev_c[1:]].state.projection)
+        _kind, e, orient = it
+        prev_c = items[pos - 1] if pos > 0 else None
+        if prev_c is not None and prev_c[0] == "close" and not info[prev_c[1]].loose:
+            cov = cover_class(orient, info[prev_c[1]].state.projection)
         else:
             cov = COVER_NONE
         profile = segment_profile(orient, cov)
@@ -245,7 +217,7 @@ def _annotate(g: Digraph) -> tuple:
             info[e] = _EdgeInfo(True, None, False, cov, next_chain)
             next_chain += 1
         else:  # continuation of the chain ending at the preceding closer
-            prev_info = info[prev_o[1:]]
+            prev_info = info[prev_o[1]]
             if prev_info.loose:
                 info[e] = _EdgeInfo(True, None, False, cov, prev_info.chain_id)
             else:
@@ -271,10 +243,9 @@ def latent_encode(g: Digraph) -> LatentString:
         if it[0] == "sep":
             out += (BOUNDARY_OPEN, BOUNDARY_CLOSE)
         else:
-            e = it[1:]
+            kind, e, orient = it
             rec = info[e]
-            orient = _orientation(g, *e)
-            base = OPENER_BASE[orient] if it[0] == "open" else CLOSER_BASE[orient]
+            base = PAIRS[orient].opener if kind == "open" else PAIRS[orient].closer
             chain = LOOSE if rec.loose else rec.state.name
             out.append(bracket_of[base, chain, rec.primed, rec.cover])
     return tuple(out)
@@ -286,8 +257,8 @@ def maximal_chains(g: Digraph) -> list:
     groups: dict = {}
     for pos, it in enumerate(items):
         if it[0] == "open":
-            rec = info[it[1:]]
-            groups.setdefault(rec.chain_id, (rec.loose, []))[1].append(it[1:])
+            rec = info[it[1]]
+            groups.setdefault(rec.chain_id, (rec.loose, []))[1].append(it[1])
     return [(tuple(edges), loose)
             for cid, (loose, edges) in sorted(groups.items())]
 

@@ -194,3 +194,33 @@ def test_tables_over_one_alphabet_share_one_column_index():
     index = reg_lat().index
     assert all(constraint_dfa(p).index is index for p in PropertyId)
     assert family_automaton(parse_property_set("out-tree")).index is index
+
+
+def test_the_column_index_cache_holds_the_alphabet_alone():
+    # in a fresh process, after Reg_lat, the eight constraint tables, a
+    # scan of each and a count, the shared index cache has one entry, the
+    # alphabet's: the one-off table over the larger inventory that
+    # alphabet() compiles leaves none behind
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "from ncdigraph import cfg\n"
+        "from ncdigraph.digraphs import PropertyId, make_digraph\n"
+        "from ncdigraph.inference import count_family_strings\n"
+        "from ncdigraph.latent import (alphabet, constraint_accepts, constraint_dfa,\n"
+        "                              latent_encode, reg_lat)\n"
+        "reg_lat()\n"
+        "s = latent_encode(make_digraph(3, [(1, 2), (3, 1)]))\n"
+        "for p in PropertyId:\n"
+        "    constraint_dfa(p)\n"
+        "    constraint_accepts(p, s)\n"
+        "count_family_strings(6)\n"
+        "assert list(cfg._COLUMNS) == [alphabet()], len(cfg._COLUMNS)\n"
+        "assert cfg._COLUMNS[alphabet()].index is reg_lat().index\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr.decode()

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_noncrossing_digraph
-from ncdigraph.codec import (CodecError, decode_digraph, decode_graph,
-                             encode_digraph, encode_graph, glue)
+from ncdigraph.codec import (PAIRS, CodecError, decode_digraph, decode_graph,
+                             encode_digraph, encode_graph, glue, pair_arcs)
 from ncdigraph.digraphs import (Digraph, Graph, enumerate_noncrossing_digraphs,
                                 enumerate_noncrossing_graphs, make_digraph,
                                 make_graph, underlying)
@@ -68,12 +68,14 @@ def test_decoder_rejects_strings_no_digraph_encodes_to():
 
 def _bracket_string(moves) -> str:
     """Balanced bracket string from (move, kind) pairs: move 0 opens a pair
-    of the kind, 1 closes the innermost pair, 2 writes a separator."""
+    of the kind-th orientation, 1 closes the innermost pair, 2 writes a
+    separator."""
+    pairs = list(PAIRS.values())
     out, stack = [], []
     for m, kind in moves:
         if m == 0:
-            out.append("[/<"[kind])
-            stack.append("]>\\"[kind])
+            out.append(pairs[kind].opener)
+            stack.append(pairs[kind].closer)
         elif m == 1 and stack:
             out.append(stack.pop())
         elif m == 2:
@@ -100,6 +102,13 @@ def test_encoder_rejects_crossing():
 
 
 def test_round_trip_exhaustive_small():
+    # each pair of the codec's statement, around separators, is the digraph
+    # of the arcs it states
+    for o, pair in PAIRS.items():
+        for n in range(2, 5):
+            s = pair.opener + "{}" * (n - 1) + pair.closer
+            g = Digraph(n, frozenset(pair_arcs(o, 1, n)))
+            assert decode_digraph(s) == g and encode_digraph(g) == s
     for n in range(1, 5):
         for g in enumerate_noncrossing_digraphs(n):
             assert decode_digraph(encode_digraph(g)) == g

@@ -571,6 +571,40 @@ def test_shared_program_keeps_repeated_terms():
     assert _replay(program, _CountAlgebra())[2:] == [2, 2]
 
 
+def test_chart_compiles_any_table_of_paired_brackets():
+    # the chart reads each opener's closer from the table's own symbols, so
+    # a table over brackets that alphabet() does not hold compiles too: one
+    # forward pair / > and the boundary pair, with a state after the
+    # opener, one after {, and one final state for everything else.  Its
+    # strings are the noncrossing graphs, each edge one forward arc, so the
+    # counts are theirs and a max replay picks the best such graph under
+    # the documented tie-break
+    from ncdigraph.cfg import TableDfa
+    from ncdigraph.digraphs import enumerate_noncrossing_graphs
+    from ncdigraph.inference import (_compile, _CountAlgebra, _MaxAlgebra,
+                                     _replay, _tight_arcs)
+    from ncdigraph.latent import LatentBracket, alphabet
+
+    opener = LatentBracket("/", None)
+    symbols = (LatentBracket("{", None), LatentBracket("}", None), opener, opener.partner())
+    assert not set(symbols[2:]) & set(alphabet())
+    moves = {(0, 0): 2, (1, 0): 2, (2, 1): 0, (0, 2): 1, (1, 2): 1, (0, 3): 0}
+    table = TableDfa(symbols, tuple(tuple(moves.get((q, a), -1) for a in range(4))
+                                    for q in range(3)), (True, False, False))
+    rng = random.Random(26)
+    for n in range(1, 7):
+        program = _compile(n, table)[0]
+        graphs = [sorted(g.edges) for g in enumerate_noncrossing_graphs(n)]
+        assert _replay(program, _CountAlgebra())[-1] == len(graphs)
+        if n > 5:
+            continue
+        w = WeightMatrix(n, {(i, j): rng.choice((0, 1, 2)) for i in range(1, n + 1)
+                             for j in range(1, n + 1) if i != j})
+        best = min(graphs, key=lambda arcs: (-sum(w.get(*a) for a in arcs), len(arcs), arcs))
+        cells = _replay(program, _MaxAlgebra(w))
+        assert _tight_arcs(program, cells, n) == frozenset(best)
+
+
 def test_join_kernels_replay_long_and_single_groups():
     # a hand-made program: one identity cell, the pair cells of n = 6, a
     # ladder of batches j of two rows, one joining j identity terms and one
@@ -1210,9 +1244,10 @@ def test_parse_weight_is_arc_sum(seed):
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
-    # key(A) = W(A)·n² − |A| for the arcs A of each pair, and −(W_total+2)·n²
-    # for a pair the lexicon forbids, as exact integers
-    from ncdigraph.chains import BACKWARD, BIDIRECTIONAL, FORWARD
+    # key(A) = W(A)·n² − |A| for the arcs A that the codec states for each
+    # pair, and −(W_total+2)·n² for a pair the lexicon forbids, as exact
+    # integers
+    from ncdigraph.codec import PAIRS, pair_arcs
     from ncdigraph.inference import _MaxAlgebra
 
     rng = random.Random(seed)
@@ -1233,8 +1268,8 @@ def test_max_keys_follow_the_documented_formula(n, kind, with_lexicon, seed):
     pair_cells, want = [], []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            for o, arcs in ((FORWARD, [(u, v)]), (BACKWARD, [(v, u)]),
-                            (BIDIRECTIONAL, [(u, v), (v, u)])):
+            for o in PAIRS:
+                arcs = pair_arcs(o, u, v)
                 pair_cells.append((len(pair_cells) + 1, o, u, v))
                 want.append(key(arcs) if lex is None or lex.allows(o, u, v) else forbidden)
     got = _MaxAlgebra(w, lex).pairs(tuple(pair_cells))

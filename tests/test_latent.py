@@ -22,7 +22,7 @@ from ncdigraph.latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, END, FORBIDDEN,
                               alphabet, bracket_classes, bracket_valid,
                               constraint_accepts, constraint_dfa, d55, h_lat,
                               latent_encode, latent_to_str, maximal_chains,
-                              parse_latent, partners, preimage_count, reg_lat)
+                              parse_latent, preimage_count, reg_lat)
 
 
 def test_chain_step_glosses():
@@ -153,8 +153,10 @@ def _inventory() -> list:
 
 def test_alphabet_is_what_reg_lat_reads():
     # Reg_lat compiled over the whole inventory reads 80 openers; the
-    # alphabet is those pairs and the boundary pair, closed under partners,
-    # and holds every opener that the ∅ chart keeps at n = 8
+    # alphabet is those pairs and the boundary pair, closed under partners
+    # (each bracket's partner has a column of the alphabet's tables, and
+    # pairing twice gives the bracket back), and holds every opener that
+    # the ∅ chart keeps at n = 8
     inventory = _inventory()
     assert len(inventory) == len(set(inventory)) == 542
     table = cfg.TableDfa.compile(RegLat(), inventory)
@@ -164,9 +166,8 @@ def test_alphabet_is_what_reg_lat_reads():
     assert set(alphabet()) == ({BOUNDARY_OPEN, BOUNDARY_CLOSE} | openers
                                | {o.partner() for o in openers})
     assert len(alphabet()) == 162
-    partner = partners()
-    assert set(partner) == set(alphabet())
-    assert all(partner[partner[b]] is b and partner[b] == b.partner() for b in alphabet())
+    index = reg_lat().index
+    assert all(b.partner() in index and b.partner().partner() == b for b in alphabet())
     assert d55().symbols() == frozenset(alphabet())
     _program, (_keys, shared, _groups, chart_openers, _finals) = inference._compile(
         8, inference.family_automaton(frozenset()))
