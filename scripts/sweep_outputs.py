@@ -3,10 +3,11 @@
 last the sha256 of every line printed before it.
 
 The grid covers family counts, max-weight parses, intersection grammars,
-lattices and the three encoders, so two source trees whose last lines agree
-return the same results on all of it.  It reads only public names, so it
-runs unchanged on older trees.  Run it from the repository root as
-``PYTHONPATH=src python scripts/sweep_outputs.py``; it takes about 2 s.
+lattices, the three encoders and the maximal chains, the last two up to
+n = 100, so two source trees whose last lines agree return the same results
+on all of it.  It reads only public names, so it runs unchanged on older
+trees.  Run it from the repository root as
+``PYTHONPATH=src python scripts/sweep_outputs.py``; it takes a few seconds.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from fractions import Fraction
 from ncdigraph import (Digraph, LexicalConstraint, NoParseError, WeightMatrix,
                        build_intersection_grammar, build_lattice,
                        count_family_strings, encode_digraph, encode_graph,
-                       latent_encode, latent_to_str, parse_max,
+                       latent_encode, latent_to_str, maximal_chains, parse_max,
                        parse_property_set, underlying)
 from ncdigraph.inference import LEX_FLAGS
 from ncdigraph.ontology import signature_string
@@ -91,12 +92,12 @@ def lines():
         for c in lat.classes:
             yield f"lattice\t{n}\t{signature_string(c.signature)}\t{c.count}\t{c.name or ''}"
         yield f"lattice\t{n}\torder\t{list(lat.order)}"
-    for n in range(1, 13):
+    for n in (*range(1, 13), 16, 24, 32, 48, 100):
         for _ in range(20):
             g = digraph(rng, n, loops=True)
             loop_free = Digraph(n, frozenset((u, v) for u, v in g.arcs if u != v))
             yield (f"encode\t{n}\t{encode_digraph(g)}\t{encode_graph(underlying(g))}"
-                   f"\t{latent_to_str(latent_encode(loop_free))}")
+                   f"\t{latent_to_str(latent_encode(loop_free))}\t{maximal_chains(loop_free)}")
 
 
 def main() -> None:

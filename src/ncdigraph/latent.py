@@ -8,14 +8,15 @@ class recording what the edge covers (see ``chains.cover_class``).  Opener
 and closer of a pair carry identical annotations, so the Dyck check
 transports chain states from left to right.  A bracket's base means what
 the codec's ``PAIRS`` states (its orientation, its partner and the arcs of
-its pair), and the encoder reads each pair's orientation off the codec's
-``layout``.  ``Reg_lat`` validates the annotations against their left
-context.  Each family constraint of the axiomatization is then Table 1 as
-data: ``FORBIDDEN`` lists, per property, factors ``first gap* last`` over
-the named bracket classes of ``CLASSES``, where ``first`` may be the start
-anchor ``^``, ``last`` the end anchor ``$``, and an empty gap makes
-``first`` and ``last`` adjacent.  A string has the property iff it
-contains none of them.  ``RegLat`` and the one generic scanner
+its pair).  ``Reg_lat`` validates the annotations against their left
+context, and it is their one statement: the encoder walks the codec's
+``layout`` over its table and reads each pair's annotation off the states
+before its opener and before its closer.  Each family constraint of the
+axiomatization is then Table 1 as data: ``FORBIDDEN`` lists, per
+property, factors ``first gap* last`` over the named bracket classes of
+``CLASSES``, where ``first`` may be the start anchor ``^``, ``last`` the
+end anchor ``$``, and an empty gap makes ``first`` and ``last`` adjacent.
+A string has the property iff it contains none of them.  ``RegLat`` and the one generic scanner
 ``ConstraintDfa`` define these recognizers; callers step their cached
 minimal tables, ``reg_lat()`` and ``constraint_dfa(p)``, over
 ``alphabet()``, the 162 brackets Reg_lat can read.
@@ -175,92 +176,81 @@ def latent_to_str(s: Sequence) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Encoding: compute the unique annotation of a digraph's bracket string.
+# Encoding: walk a digraph's bracket string over Reg_lat's table.
 
-@dataclass
-class _EdgeInfo:
-    loose: bool
-    state: Optional[ChainState]
-    primed: bool
-    cover: Optional[str]
-    chain_id: int
+@lru_cache(maxsize=None)
+def _pair_table() -> tuple:
+    """(the state every opener enters, {(q0, q1, orientation): (opener,
+    closer, state after closer)}) over the edge pairs of reg_lat() whose
+    opener is live in state q0 and closer in state q1."""
+    syms, delta = alphabet(), reg_lat().delta
+    edge_openers = range(2, len(syms), 2)  # each followed by its closer
+    # unpacking fails unless every opener enters one state
+    [opened] = {row[a] for row in delta for a in edge_openers} - {-1}
+    pairs = {(q0, q1, syms[a].orientation): (syms[a], syms[a + 1], row1[a + 1])
+             for a in edge_openers
+             for q0, row0 in enumerate(delta) if row0[a] >= 0
+             for q1, row1 in enumerate(delta) if row1[a + 1] >= 0}
+    return opened, pairs
 
 
-def _annotate(g: Digraph) -> tuple:
-    """Returns (codec layout items, per-edge info keyed by (u,v) span); a
-    separator item stands for the boundary pair b{ b}, and a pair item
-    carries its orientation."""
+def _layout(g: Digraph) -> list:
+    """The codec's layout of g's bracket string."""
     if any(u == v for (u, v) in g.arcs):
         raise ValueError("latent encoding requires a loop-free digraph")
     if not is_noncrossing(g):
         raise ValueError("latent encoding requires a noncrossing digraph")
-    items = layout(g.n, pair_orientations(g.arcs))
-    open_pos = {it[1]: pos for pos, it in enumerate(items) if it[0] == "open"}
-    info: dict = {}
-    next_chain = 0
-    for pos, it in enumerate(items):
-        if it[0] != "close":
-            continue
-        _kind, e, orient = it
-        prev_c = items[pos - 1] if pos > 0 else None
-        if prev_c is not None and prev_c[0] == "close" and not info[prev_c[1]].loose:
-            cov = cover_class(orient, info[prev_c[1]].state.projection)
-        else:
-            cov = COVER_NONE
-        profile = segment_profile(orient, cov)
-        p_o = open_pos[e]
-        prev_o = items[p_o - 1] if p_o > 0 else None
-        if prev_o is None or prev_o[0] == "open":
-            info[e] = _EdgeInfo(False, first_state(profile), True, cov, next_chain)
-            next_chain += 1
-        elif prev_o[0] == "sep":
-            info[e] = _EdgeInfo(True, None, False, cov, next_chain)
-            next_chain += 1
-        else:  # continuation of the chain ending at the preceding closer
-            prev_info = info[prev_o[1]]
-            if prev_info.loose:
-                info[e] = _EdgeInfo(True, None, False, cov, prev_info.chain_id)
-            else:
-                info[e] = _EdgeInfo(False, prev_info.state.step(profile), False,
-                                    cov, prev_info.chain_id)
-    return items, info
-
-
-@lru_cache(maxsize=None)
-def _bracket_of_fields() -> dict:
-    """{(base, chain, primed, cover): bracket} over alphabet()."""
-    return {(b.base, b.chain, b.primed, b.cover): b for b in alphabet()}
+    return layout(g.n, pair_orientations(g.arcs))
 
 
 def latent_encode(g: Digraph) -> LatentString:
-    """The latent string of g, made of alphabet()'s own brackets, as
-    parse_latent's are, so a table lookup of it finds each one by identity
-    and never falls through to the dataclass equality."""
-    items, info = _annotate(g)
-    bracket_of = _bracket_of_fields()
-    out = []
-    for it in items:
-        if it[0] == "sep":
-            out += (BOUNDARY_OPEN, BOUNDARY_CLOSE)
+    """The one string of D_55 ∩ Reg_lat whose bases are g's bracket string,
+    by a walk of the codec's layout over reg_lat(): every opener enters one
+    state, and at a closer the pair is the one edge pair of its orientation
+    live in the states before its opener and before its closer.  Each
+    bracket is alphabet()'s own object, as parse_latent's are, so a table
+    lookup finds it by identity."""
+    opened, pairs = _pair_table()
+    table = reg_lat()
+    delta, index = table.delta, table.index
+    out: list = []
+    stack = []  # (position, state before) of each open pair
+    q = table.start
+    for it in _layout(g):
+        if it[0] == "open":
+            stack.append((len(out), q))
+            out.append(None)
+            q = opened
+        elif it[0] == "close":
+            pos, q0 = stack.pop()
+            out[pos], closer, q = pairs[q0, q, it[2]]
+            out.append(closer)
         else:
-            kind, e, orient = it
-            rec = info[e]
-            base = PAIRS[orient].opener if kind == "open" else PAIRS[orient].closer
-            chain = LOOSE if rec.loose else rec.state.name
-            out.append(bracket_of[base, chain, rec.primed, rec.cover])
+            out += (BOUNDARY_OPEN, BOUNDARY_CLOSE)
+            q = delta[delta[q][index[BOUNDARY_OPEN]]][index[BOUNDARY_CLOSE]]
     return tuple(out)
 
 
 def maximal_chains(g: Digraph) -> list:
-    """Maximal linear chains as (edge tuple in left-to-right order, loose)."""
-    items, info = _annotate(g)
-    groups: dict = {}
-    for pos, it in enumerate(items):
+    """Maximal linear chains as (edge tuple in left-to-right order, loose),
+    read off the layout: an edge whose opener follows a closer continues
+    that closer's chain, and any other edge starts a chain, loose when its
+    opener follows a separator.  Chains are listed in the order of their
+    first edges' closers."""
+    chain_of: dict = {}  # edge -> (its chain's edges, loose)
+    chains = []
+    prev = ("open",)  # the string's start begins a non-loose chain
+    for it in _layout(g):
         if it[0] == "open":
-            rec = info[it[1]]
-            groups.setdefault(rec.chain_id, (rec.loose, []))[1].append(it[1])
-    return [(tuple(edges), loose)
-            for cid, (loose, edges) in sorted(groups.items())]
+            if prev[0] == "close":
+                chain_of[it[1]] = chain_of[prev[1]]
+                chain_of[it[1]][0].append(it[1])
+            else:
+                chain_of[it[1]] = ([it[1]], prev[0] == "sep")
+        elif it[0] == "close" and chain_of[it[1]][0][0] == it[1]:
+            chains.append(chain_of[it[1]])
+        prev = it
+    return [(tuple(edges), loose) for edges, loose in chains]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -72,6 +73,41 @@ def test_single_arc_chain():
     assert latent_to_str(s) == "/F'{}>F'"
     chains = maximal_chains(make_digraph(2, [(1, 2)]))
     assert chains == [(((1, 2),), False)]
+
+
+def _pairs_by_span(s) -> dict:
+    """{span: (closer position, opener bracket)} of a latent string, read
+    the way the codec decodes: a `{` moves to the next vertex, an opener
+    opens a span at its vertex and a closer ends the last open one."""
+    v, stack, spans = 1, [], {}
+    for pos, b in enumerate(s):
+        if b.base == "{":
+            v += 1
+        elif b.is_opener:
+            stack.append((v, b))
+        elif b.is_closer:
+            u, opener = stack.pop()
+            spans[u, v] = (pos, opener)
+    return spans
+
+
+def test_maximal_chains_match_latent_marks(digraphs_by_n):
+    from conftest import random_noncrossing_digraph
+    rng = random.Random(29)
+    graphs = [g for n in digraphs_by_n for g in digraphs_by_n[n]]
+    graphs += [random_noncrossing_digraph(rng, 12) for _ in range(300)]
+    for g in graphs:
+        spans = _pairs_by_span(latent_encode(g))
+        chains = maximal_chains(g)
+        edges = [e for chain, _loose in chains for e in chain]
+        assert sorted(edges) == sorted(spans), sorted(g.arcs)
+        for chain, loose in chains:
+            assert all(a[1] == b[0] for a, b in zip(chain, chain[1:])), chain
+            assert all(spans[e][1].loose == loose for e in chain), chain
+            assert [spans[e][1].primed for e in chain] == (
+                [False] * len(chain) if loose else [True] + [False] * (len(chain) - 1))
+        firsts = [spans[chain[0]][0] for chain, _loose in chains]
+        assert firsts == sorted(firsts), sorted(g.arcs)
 
 
 def test_cycle_ambiguity_disconnection_example():
@@ -238,6 +274,25 @@ def test_preimage_uniqueness_small():
     for n in range(1, 4):
         for g in enumerate_noncrossing_digraphs(n):
             assert preimage_count(encode_digraph(g), limit=3) == 1
+
+
+def test_reg_lat_fixes_each_pair_by_its_context():
+    # h_lat is injective on D_55 ∩ Reg_lat at every n, by induction along
+    # the string: every opener enters one state whatever its annotation, so
+    # the states before each closer depend on the bases alone, and at most
+    # one edge pair of each orientation has its opener live in the state
+    # before the opener and its closer live in the state before the closer
+    table = reg_lat()
+    delta, index = table.delta, table.index
+    edge_pairs = [(o, c) for o, c in d55().pairs if not o.is_boundary]
+    entered = {row[index[o]] for row in delta for o, _c in edge_pairs} - {-1}
+    assert len(entered) == 1
+    fits = collections.Counter(
+        (q0, q1, o.orientation) for o, c in edge_pairs
+        for q0, row0 in enumerate(delta) if row0[index[o]] >= 0
+        for q1, row1 in enumerate(delta) if row1[index[c]] >= 0)
+    assert max(fits.values()) == 1
+    assert len(fits) == 990
 
 
 def test_preimage_count_long_path():
