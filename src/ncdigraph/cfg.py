@@ -224,6 +224,36 @@ class TableDfa(Dfa):
         final = [False] + [self.final[xy // ny] and other.final[xy % ny] for xy in order]
         return self._minimal(self.symbols, arcs, final)
 
+    def project(self, image: Sequence) -> "TableDfa":
+        """The minimal table of the image of this table's language under a
+        map on its columns: column a reads image[a], and the new symbols
+        are the images in order of first appearance.  The subset
+        construction walks the sets of states reachable breadth first,
+        with a move on each new symbol from the states that move on one of
+        its preimages, and `_minimal` merges equivalent sets."""
+        symbols = tuple(dict.fromkeys(image))
+        column = {sym: b for b, sym in enumerate(symbols)}
+        preimages = [[] for _ in symbols]
+        for a, sym in enumerate(image):
+            preimages[column[sym]].append(a)
+        ids = {frozenset({self.start}): 1}
+        order = list(ids)
+        arcs = [[]]
+        for states in order:  # grows while it is walked: breadth-first
+            rows = [self.delta[q] for q in states]
+            row = []
+            for b, cols in enumerate(preimages):
+                nxt = frozenset(r[a] for r in rows for a in cols if r[a] >= 0)
+                if nxt:
+                    q2 = ids.get(nxt)
+                    if q2 is None:
+                        q2 = ids[nxt] = len(order) + 1
+                        order.append(nxt)
+                    row.append((b, q2))
+            arcs.append(row)
+        final = [False] + [any(self.final[q] for q in states) for states in order]
+        return self._minimal(symbols, arcs, final)
+
     @classmethod
     def _minimal(cls, symbols: tuple, arcs: list, final: list) -> "TableDfa":
         """The minimal table of a tabulated recognizer whose state 1 is the

@@ -7,7 +7,23 @@ Bar-Hillel product of the Dyck grammar with a recognizer.  The recognizer is
 the minimal integer table of Reg_lat ∩ (family constraints), built once per
 family.  The chart reads nothing else of the latent alphabet: it takes the
 states and symbols from the table, and each opener's closer column from the
-table's own index, so it compiles any table of paired brackets.  Chart
+table's own index, so it compiles any table of paired brackets.
+Counts and parses (`count_family_strings`, `parse_max`) replay the chart of
+a coarser table, `coarse_automaton(n, family)`, since a maximum or a count
+needs no annotation that no constraint of the family reads.  It is the
+family table projected through a map on its edge pairs that keeps each
+bracket's base, so each pair's orientation and arcs (`TableDfa.project`):
+the first of (base, prime), (base, prime, loose) and (base, prime, the
+classes the family's forbidden factors name) whose chart derives as many
+strings at n as the family table's, else the family table itself.  The
+counts are `_span_count`s, the chart's row rules with positions dropped,
+so this certificate compiles no program.  It makes the coarse chart exact:
+the bases fix the digraph, so the projection π is injective on the family
+language L, and the coarse language D′ ∩ T′ holds π(L); equal counts make
+it π(L) at n, and the chart over the deterministic T′ is unambiguous, so
+its counts, lexicon counts, max keys and tie-break are the family table's.
+`build_intersection_grammar` and `count_up_sets` compile the family tables
+themselves, and every scan steps them.  Chart
 items are (vertex, state) nodes: the vertex comes from the chart's position,
 so the chart itself fixes the vertex count (n - 1 boundary pairs), and
 every bracket pair knows its vertex endpoints and its arc weights.  Items are computed by increasing vertex span in one bottom-up
@@ -43,10 +59,10 @@ chain of compares for max keys.  The replay compiles it: the first replay
 under an algebra that meets a batch of k terms generates the kernel and
 keeps it in the algebra's plain dict, so a count compiles no max kernel
 and a parse no count kernel.
-Grammar materialization reads the productions off the compiler's labelled
-groups, and each labelled cell's count off its shared cell in one count
-replay; it caches the program it compiled, so a later count or parse of the
-same (n, family) compiles no program.
+Grammar materialization reads the productions off the labelled groups of
+the family table's compile, and each labelled cell's count off its shared
+cell in one count replay; it caches that labelled compile per (n, family),
+apart from the coarse programs that counts and parses share.
 The lexicon is not compiled in: whether a pair is allowed depends only on
 its orientation and its two vertices, so the algebras apply it to the pair
 cells.
@@ -73,8 +89,8 @@ from .cfg import Grammar, TableDfa
 from .codec import BACKWARD, FORWARD, PAIRS, pair_arcs
 from .digraphs import (Digraph, PropertyId, check_property,
                        enumerate_noncrossing_digraphs)
-from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, LatentBracket,
-                     constraint_dfa, reg_lat)
+from .latent import (BOUNDARY_CLOSE, BOUNDARY_OPEN, CLASSES, FORBIDDEN,
+                     LatentBracket, constraint_dfa, reg_lat)
 
 
 class NoParseError(ValueError):
@@ -151,6 +167,50 @@ def family_automaton(req: frozenset) -> TableDfa:
     return auto
 
 
+@lru_cache(maxsize=None)
+def _projections(req: frozenset) -> tuple:
+    """The family table of `req` projected by each distinct candidate key
+    on edge pairs, coarsest first: (base, prime), (base, prime, loose),
+    and (base, prime, the membership of opener and closer in each class
+    that the family's forbidden factors name).  A projection keeps the
+    boundary pair and maps each edge pair to the first pair of the
+    alphabet with the pair's key, so its symbols are real brackets, and
+    it keeps each base, so each pair's orientation and arcs."""
+    names = sorted({name for p in req for factor in FORBIDDEN[p] for name in factor
+                    if name in CLASSES})
+    keys = (lambda o, c: (o.base, o.primed),
+            lambda o, c: (o.base, o.primed, o.loose),
+            lambda o, c: (o.base, o.primed, *(CLASSES[name](b) for name in names
+                                              for b in (o, c))))
+    auto = family_automaton(req)
+    syms = auto.symbols  # each opener followed by its closer
+    images: dict = {}  # an ordered set of the distinct images
+    for key in keys:
+        first: dict = {}  # key -> column of the first opener with it
+        image = list(syms)
+        for a, b in enumerate(syms):
+            if b.is_opener:
+                rep = first.setdefault(key(b, syms[a + 1]), a)
+                image[a], image[a + 1] = syms[rep], syms[rep + 1]
+        images.setdefault(tuple(image), None)
+    return tuple(auto.project(image) for image in images)
+
+
+@lru_cache(maxsize=None)
+def coarse_automaton(n: int, req: frozenset) -> TableDfa:
+    """The table that counts and parses of the family `req` at n replay:
+    the coarsest of its projections (`_projections`) whose chart derives
+    as many strings at n as the family table's (`_span_count`), else the
+    family table itself.  Equal counts make the coarse chart exact, by the
+    argument of the module docstring."""
+    auto = family_automaton(req)
+    want = _span_count(auto, n)
+    for coarse in _projections(req):
+        if _span_count(coarse, n) == want:
+            return coarse
+    return auto
+
+
 def _closers(auto: TableDfa) -> dict:
     """{opener: the column of its closer} over the symbols of `auto`, read
     from the table itself, so any table of paired brackets has them."""
@@ -166,6 +226,50 @@ def _moves(auto: TableDfa) -> tuple:
     columns = [(auto.index[b], b, c) for b, c in _closers(auto).items()]
     openers = [[(b, row[a], c) for a, b, c in columns if row[a] >= 0] for row in auto.delta]
     return boundary, openers
+
+
+def _span_count(auto: TableDfa, n: int) -> int:
+    """The number of strings the chart of `_compile(n, auto)` derives, by
+    its row rules with the positions dropped: a cell's count depends only
+    on its span and the states at its two ends, so one cell per (span, qa,
+    qc) serves every start vertex.  As in the chart, a state right after
+    an opener heads inside rows, whose first P cell is shorter than the
+    row unless it is the span-1 boundary pair, every other state heads
+    sequence rows, and each span's P cells join its boundary or edge pairs
+    with their insides."""
+    delta = auto.delta
+    boundary, moves = _moves(auto)
+    inside = {q1 for row in moves for _o, q1, _c in row}
+    states = range(len(delta))
+    rows = [{q: {q: 1} for q in states}]  # span -> head -> {end: count}
+    folds: list = [None]  # span -> head -> {end: count of its P cells}
+
+    def join(qa, s, spans):
+        ends: dict = {}
+        for p in spans:
+            for qb, x in folds[p].get(qa, {}).items():
+                for qc, y in rows[s - p].get(qb, {}).items():
+                    ends[qc] = ends.get(qc, 0) + x * y
+        return ends
+
+    for s in range(1, n):
+        if s == 1:
+            row = {qa: {boundary[qa]: 1} for qa in inside if boundary[qa] >= 0}
+            fold = {qa: {qb: 1} for qa, qb in enumerate(boundary) if qb >= 0}
+        else:
+            row = {qa: join(qa, s, range(1, s)) for qa in inside}
+            fold = {}
+        for qa in states:
+            for _o, q1, close in moves[qa]:
+                for q2, x in row.get(q1, {}).items():
+                    qb = delta[q2][close]
+                    if qb >= 0:
+                        ends = fold.setdefault(qa, {})
+                        ends[qb] = ends.get(qb, 0) + x
+        folds.append(fold)
+        row.update((qa, join(qa, s, range(1, s + 1))) for qa in states if qa not in inside)
+        rows.append(row)
+    return sum(x for qc, x in rows[n - 1][auto.start].items() if auto.final[qc])
 
 
 def _live(n: int, auto: TableDfa, boundary: list, openers: list) -> list:
@@ -503,16 +607,17 @@ class _MaxAlgebra:
         return keys
 
 
-_PROGRAMS: dict = {}  # (n, family) -> replay program
+_PROGRAMS: dict = {}  # (n, family) -> replay program on the coarse table
+_CHARTS: dict = {}  # (n, family) -> labelled compile of the family table
 
 
 def _program(n: int, req: Iterable = ()) -> tuple:
-    """The cached replay program of (n, family), without the labels
-    `_compile` returns with it."""
+    """The cached replay program of (n, family) on `coarse_automaton(n,
+    family)`, without the labels `_compile` returns with it."""
     key = (n, frozenset(req))
     program = _PROGRAMS.get(key)
     if program is None:
-        program = _PROGRAMS[key] = _compile(n, family_automaton(key[1]))[0]
+        program = _PROGRAMS[key] = _compile(n, coarse_automaton(*key))[0]
     return program
 
 
@@ -596,16 +701,21 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     pair gives P → { }, P → opener S closer or, when its inside is a
     boundary pair, P → opener { } closer, a span-0 cell gives S → ε and a
     final gives S0 → S.  A labelled cell counts what its shared cell counts
-    in one replay of the program.  The joins, pairs and finals that count 0
-    under the lexicon are left out, and so is every nonterminal only they
-    reach.  The productions come in the order the walk meets them, which
-    depends on no hash seed: it walks ints and insertion-ordered dicts.
+    in one replay of the program.  The joins, pairs and finals that count
+    0 under the lexicon are left out, and so is every nonterminal only
+    they reach.  The productions come in the order the walk meets them,
+    which depends on no hash seed: it walks ints and insertion-ordered
+    dicts.  The grammar reads the family table's states, so it keeps that
+    labelled compile per (n, family) in a cache of its own, apart from the
+    coarse programs that counts and parses replay.
     """
     _check(n, lex)
     key = (n, frozenset(req))
     auto = family_automaton(key[1])
-    program, (cell_keys, shared, groups, openers, finals) = _compile(n, auto)
-    _PROGRAMS[key] = program
+    chart = _CHARTS.get(key)
+    if chart is None:
+        chart = _CHARTS[key] = _compile(n, auto)
+    program, (cell_keys, shared, groups, openers, finals) = chart
     counts = _replay(program, _CountAlgebra(lex))
 
     def count(c):

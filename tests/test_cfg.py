@@ -198,9 +198,10 @@ def test_tables_over_one_alphabet_share_one_column_index():
 
 def test_the_column_index_cache_holds_the_alphabet_alone():
     # in a fresh process, after Reg_lat, the eight constraint tables, a
-    # scan of each and a count, the shared index cache has one entry, the
-    # alphabet's: the one-off table over the larger inventory that
-    # alphabet() compiles leaves none behind
+    # scan of each and a count, the shared index cache holds the
+    # alphabet's entry and those of the count's cached candidate coarse
+    # tables, whose symbols are alphabet brackets: the one-off table over
+    # the larger inventory that alphabet() compiles leaves none behind
     import os
     import subprocess
     import sys
@@ -210,7 +211,7 @@ def test_the_column_index_cache_holds_the_alphabet_alone():
     script = (
         "from ncdigraph import cfg\n"
         "from ncdigraph.digraphs import PropertyId, make_digraph\n"
-        "from ncdigraph.inference import count_family_strings\n"
+        "from ncdigraph.inference import _projections, count_family_strings\n"
         "from ncdigraph.latent import (alphabet, constraint_accepts, constraint_dfa,\n"
         "                              latent_encode, reg_lat)\n"
         "reg_lat()\n"
@@ -219,7 +220,9 @@ def test_the_column_index_cache_holds_the_alphabet_alone():
         "    constraint_dfa(p)\n"
         "    constraint_accepts(p, s)\n"
         "count_family_strings(6)\n"
-        "assert list(cfg._COLUMNS) == [alphabet()], len(cfg._COLUMNS)\n"
+        "coarse = [t.symbols for t in _projections(frozenset())]\n"
+        "assert list(cfg._COLUMNS) == [alphabet(), *coarse], len(cfg._COLUMNS)\n"
+        "assert all(set(symbols) <= set(alphabet()) for symbols in coarse)\n"
         "assert cfg._COLUMNS[alphabet()].index is reg_lat().index\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)

@@ -262,18 +262,21 @@ def test_count_up_sets_equals_the_family_counts():
 
 
 def test_family_automaton_is_built_once_per_family():
-    # the table knows no n and no lexicon: one build serves them all
-    from ncdigraph.inference import _PROGRAMS
+    # the table knows no n and no lexicon: one build serves them all, and
+    # so does one build of its candidate projections
+    from ncdigraph.inference import _PROGRAMS, _projections, coarse_automaton
 
     fams = (frozenset(), parse_property_set("out-tree"))
     lex = LexicalConstraint({1: frozenset({"out-right", "in-right"})})
     _PROGRAMS.clear()
-    family_automaton.cache_clear()
+    for cached in (family_automaton, _projections, coarse_automaton):
+        cached.cache_clear()
     for fam in fams:
         for n in range(1, 9):
             for lx in (None, lex):
                 count_family_strings(n, fam, lx)
     assert family_automaton.cache_info().misses == len(fams)
+    assert _projections.cache_info().misses == len(fams)
 
 
 def test_intersection_grammar_object(digraphs_by_n):
@@ -496,27 +499,31 @@ _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
 
 
 def test_shared_program_gives_the_unshared_values():
-    # the cached replay program is the hash-consed reduced chart: under
-    # either algebra, with or without a lexicon, its answer is the join of
-    # the finals' values in the labelled groups that grammar
-    # materialization reads, and every kept cell, each final among them,
-    # has its labelled value through its shared id
-    from ncdigraph.inference import _compile, _CountAlgebra, _MaxAlgebra, _program, _replay
+    # a compiled program is the hash-consed reduced chart: under either
+    # algebra, with or without a lexicon, its answer is the join of the
+    # finals' values in the labelled groups, and every kept cell, each
+    # final among them, has its labelled value through its shared id.
+    # This holds for the family table's compile, which grammar
+    # materialization reads, and for the coarse table's, which is the
+    # cached replay program
+    from ncdigraph.inference import (_compile, _CountAlgebra, _MaxAlgebra, _program,
+                                     _replay, coarse_automaton)
 
     rng = random.Random(47)
     for fam, n in _SHARED_CASES:
-        program, (keys, shared, groups, _openers, finals) = _compile(n, family_automaton(fam))
+        for auto in (family_automaton(fam), coarse_automaton(n, fam)):
+            program, (keys, shared, groups, _openers, finals) = _compile(n, auto)
+            assert program[2][-1] == (program[0] - 1, *(shared[c] for _qf, c in finals),
+                                      *(0,) * len(finals))
+            for lex in (None, _random_lexicon(rng, n)):
+                w = random_weights(rng, n, hi=100)
+                for alg in (_CountAlgebra(lex), _MaxAlgebra(w, lex)):
+                    want = _labelled_values(alg, keys, groups)
+                    got = _replay(program, alg)
+                    _times, join = _times_join(alg)
+                    assert got[-1] == join(want[c] for _qf, c in finals), (n, sorted(fam), lex)
+                    assert all(got[s] == want[c] for c, s in enumerate(shared) if s >= 0)
         assert program == _program(n, fam)
-        assert program[2][-1] == (program[0] - 1, *(shared[c] for _qf, c in finals),
-                                  *(0,) * len(finals))
-        for lex in (None, _random_lexicon(rng, n)):
-            w = random_weights(rng, n, hi=100)
-            for alg in (_CountAlgebra(lex), _MaxAlgebra(w, lex)):
-                want = _labelled_values(alg, keys, groups)
-                got = _replay(program, alg)
-                _times, join = _times_join(alg)
-                assert got[-1] == join(want[c] for _qf, c in finals), (n, sorted(fam), lex)
-                assert all(got[s] == want[c] for c, s in enumerate(shared) if s >= 0)
 
 
 def test_shared_program_is_maximally_shared():
@@ -646,15 +653,19 @@ def test_join_kernels_replay_long_and_single_groups():
 
 
 def test_shared_program_sizes():
-    # unshared at ∅ n = 9: 4,193 cells, 3,857 groups and 24,260 terms;
-    # shared, before the root cell and its row: 1,599 cells, 1,490 rows
-    # and 11,932 terms, and the root adds one term per final (20); the rows
-    # replay in 149 level batches
-    from ncdigraph.inference import _program
+    # the family table's compile at ∅ n = 9, unshared: 4,193 cells, 3,857
+    # groups and 24,260 terms; shared, before the root cell and its row:
+    # 1,599 cells, 1,490 rows and 11,932 terms, and the root adds one term
+    # per final (20); the rows replay in 149 level batches.  The replay
+    # program, on the 5-state coarse table, is far smaller
+    from ncdigraph.inference import _compile, _program
 
-    ncells, _pairs, rows, batches = _program(9)
-    assert (ncells, len(rows), sum(len(row) >> 1 for row in rows), len(batches)) == (
-        1_600, 1_491, 11_952, 149)
+    def sizes(program):
+        ncells, _pairs, rows, batches = program
+        return ncells, len(rows), sum(len(row) >> 1 for row in rows), len(batches)
+
+    assert sizes(_compile(9, family_automaton(frozenset()))[0]) == (1_600, 1_491, 11_952, 149)
+    assert sizes(_program(9)) == (201, 92, 324, 23)
 
 
 def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
@@ -752,35 +763,72 @@ def test_generated_max_kernels_call_no_max():
 
 
 def test_cold_kernel_tables_fill_before_any_parse(monkeypatch):
-    # with both kernel tables empty and a key not cached, the grammar, the
-    # count and the parse all run and give what a warm run gives; the count
-    # and the parse compile no program, since the grammar cached its
-    # program, and the count no kernel, since the grammar's count replay
-    # compiled them; the parse compiles only max kernels
+    # with both kernel tables empty and nothing cached for the key, the
+    # grammar, the count and the parse all run and give what a warm run
+    # gives.  The grammar compiles the family table; the count then
+    # compiles the coarse table, a different one for polytree, and only
+    # count kernels; the parse compiles no program, since the count cached
+    # the one it replays, and only max kernels
     from ncdigraph import inference
 
     fam, n = parse_property_set("polytree"), 7
     rng = random.Random(67)
     w, lex = random_weights(rng, n), _random_lexicon(rng, n)
+    coarse = inference.coarse_automaton(n, fam)
+    assert coarse is not family_automaton(fam)
 
     monkeypatch.setattr(inference, "_PROGRAMS", {})
+    monkeypatch.setattr(inference, "_CHARTS", {})
     monkeypatch.setattr(inference._CountAlgebra, "kernels", {})
     monkeypatch.setattr(inference._MaxAlgebra, "kernels", {})
-    grammar = build_intersection_grammar(n, fam, lex)
-    made = []
-    for name in ("_compile", "_kernel"):
+    compiled, kernels = [], []
+    for name, made in (("_compile", compiled), ("_kernel", kernels)):
         made_by = getattr(inference, name)
         monkeypatch.setattr(inference, name,
-                            lambda *args, f=made_by: made.append(args) or f(*args))
+                            lambda *args, f=made_by, made=made: made.append(args) or f(*args))
+    grammar = build_intersection_grammar(n, fam, lex)
+    assert compiled == [(n, family_automaton(fam))] and inference._PROGRAMS == {}
+    compiled.clear()
+    kernels.clear()
     count = count_family_strings(n, fam, lex)
-    assert made == []
+    assert compiled == [(n, coarse)]
+    assert {args[0] for args in kernels} <= {inference._CountAlgebra}
+    compiled.clear()
+    kernels.clear()
     parse = parse_max(w, fam)
-    assert made and {args[0] for args in made} == {inference._MaxAlgebra}
+    assert compiled == []
+    assert kernels and {args[0] for args in kernels} == {inference._MaxAlgebra}
     monkeypatch.undo()
-    # a warm run: a fresh compile, with every kernel already made
+    # a warm run: fresh compiles, with every kernel already made
     inference._PROGRAMS.pop((n, fam), None)
+    inference._CHARTS.pop((n, fam), None)
     assert (grammar, count, parse) == (build_intersection_grammar(n, fam, lex),
                                        count_family_strings(n, fam, lex), parse_max(w, fam))
+
+
+def test_grammar_materialization_caches_its_own_compile(monkeypatch):
+    # the grammar keeps the family table's labelled compile per (n, family)
+    # apart from the coarse replay programs: a second grammar of the key,
+    # under another lexicon, compiles nothing and gives what a fresh
+    # compile gives, and neither call caches a replay program
+    from ncdigraph import inference
+
+    fam, n = parse_property_set("mixed-tree"), 6
+    rng = random.Random(73)
+    lexicons = [_random_lexicon(rng, n) for _ in range(2)]
+    monkeypatch.setattr(inference, "_PROGRAMS", {})
+    monkeypatch.setattr(inference, "_CHARTS", {})
+    compiled = []
+    compile_ = inference._compile
+    monkeypatch.setattr(inference, "_compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    first = build_intersection_grammar(n, fam, lexicons[0])
+    assert len(compiled) == 1
+    second = build_intersection_grammar(n, fam, lexicons[1])
+    assert len(compiled) == 1 and inference._PROGRAMS == {}
+    inference._CHARTS.clear()
+    assert (first, second) == tuple(build_intersection_grammar(n, fam, lex) for lex in lexicons)
+    assert len(compiled) == 2
 
 
 def test_empty_family_program_has_no_root():
@@ -801,13 +849,15 @@ def test_empty_family_program_has_no_root():
 
 
 def test_identity_is_cell_0_when_only_the_root_reads_it():
-    # at n = 2 a connected digraph has an arc, so no row of these programs
-    # but the root reads the identity
-    from ncdigraph.inference import _CountAlgebra, _family_members, _program, _replay
+    # at n = 2 a connected digraph has an arc, so no row of the family
+    # table's programs but the root reads the identity.  (A coarse table
+    # may merge the finals into one state, whose P cell then joins each
+    # pair with the empty inside, so there the invariant need not hold.)
+    from ncdigraph.inference import _compile, _CountAlgebra, _family_members, _program, _replay
 
     for name in ("CONN_W", "polytree", "mixed-tree", "wc-dag", "out-tree"):
         fam = parse_property_set(name)
-        program = _program(2, fam)
+        program = _compile(2, family_automaton(fam))[0]
         ncells = program[0]
         *body, (root, finals, identities) = _groups(program)
         assert not any(0 in lefts + rights for _dst, lefts, rights in body), name
@@ -815,25 +865,131 @@ def test_identity_is_cell_0_when_only_the_root_reads_it():
         cells = _replay(program, _CountAlgebra())
         assert cells[0] == 1
         assert cells[-1] == count_family_strings(2, fam) == len(_family_members(2, fam)[0])
+        assert _replay(_program(2, fam), _CountAlgebra())[-1] == cells[-1]
 
 
 def test_pair_insides_and_sequences_have_distinct_heads():
     # the compiler gives each node one row of S cells, chosen by its state:
     # pair insides for a state right after an opener, sequences for the
-    # start, a state after {} and a state after a closer; no state is both
-    from ncdigraph.inference import _moves
+    # start, a state after {} and a state after a closer; no state is both.
+    # This holds for every family table and every candidate coarse table
+    from ncdigraph.inference import _moves, _projections
 
     names = [p.value for p in PropertyId] + [
         "polytree", "mixed-tree", "multitree", "wc-dag", "out-tree"]
     fams = {parse_property_set(name) for name in names} | set(_PROGRAM_FAMS)
     for fam in fams:
-        auto = family_automaton(fam)
-        boundary, openers = _moves(auto)
-        inside = {q1 for moves in openers for _o, q1, _c in moves}
-        closers = [a for a, b in enumerate(auto.symbols) if b.is_closer]
-        heads = {auto.start, *boundary}
-        heads |= {row[a] for row in auto.delta for a in closers}
-        assert inside and not inside & (heads - {-1}), sorted(fam)
+        for auto in (family_automaton(fam), *_projections(fam)):
+            boundary, openers = _moves(auto)
+            inside = {q1 for moves in openers for _o, q1, _c in moves}
+            closers = [a for a, b in enumerate(auto.symbols) if b.is_closer]
+            heads = {auto.start, *boundary}
+            heads |= {row[a] for row in auto.delta for a in closers}
+            assert inside and not inside & (heads - {-1}), (sorted(fam), len(auto.delta))
+
+
+# the fourteen family specs of the certificate tests, by name
+_COARSE_GRID = ("", "out-tree", "mixed-tree", "polytree", "OUT", "PROJ_W", "ACYC_D",
+                "UNAMB_S", "CONN_W", "ORIENTED,ACYC_U", "ORIENTED,INV,CONN_W",
+                "multitree", "INV", "wc-dag")
+
+
+def _family(name):
+    return parse_property_set(name) if name else frozenset()
+
+
+def test_span_count_is_the_positional_count():
+    # positions dropped, the chart's row rules count what the positional
+    # replay counts, on the family table and on the chosen coarse table
+    from ncdigraph.inference import _compile, _CountAlgebra, _replay, _span_count, coarse_automaton
+
+    for name in _COARSE_GRID:
+        fam = _family(name)
+        for n in range(1, 11):
+            for auto in (family_automaton(fam), coarse_automaton(n, fam)):
+                assert _span_count(auto, n) == _replay(_compile(n, auto)[0], _CountAlgebra())[-1], (
+                    name, n, len(auto.delta))
+    # and past the replays: f(32) of the interval recurrence
+    f = _weighted_nc_graph_counts(32)
+    assert _span_count(family_automaton(frozenset()), 32) == f[32]
+
+
+def test_coarse_tables_each_family_replays():
+    # (states, symbols) of the table each family replays at n = 9: a
+    # projection for every family but UNAMB_S and multitree, which keep
+    # their family tables over all 162 symbols.  14 symbols keep (base,
+    # prime), 20 add loose, and more keep the classes the family reads
+    from ncdigraph.inference import coarse_automaton
+
+    want = {"": (5, 14), "out-tree": (8, 20), "mixed-tree": (5, 20), "polytree": (5, 20),
+            "OUT": (8, 14), "PROJ_W": (7, 14), "ACYC_D": (8, 36), "UNAMB_S": (20, 162),
+            "CONN_W": (6, 20), "ORIENTED,ACYC_U": (5, 20), "ORIENTED,INV,CONN_W": (1, 14),
+            "multitree": (17, 162), "INV": (5, 14), "wc-dag": (9, 42)}
+    got = {}
+    for name in _COARSE_GRID:
+        auto = coarse_automaton(9, _family(name))
+        got[name] = (len(auto.delta), len(auto.symbols))
+        assert (auto is family_automaton(_family(name))) == (name in ("UNAMB_S", "multitree"))
+    assert got == want
+
+
+def test_a_too_coarse_projection_fails_the_certificate():
+    # out-tree under (base, prime) derives more strings than the family
+    # has at n = 9, so the parser takes (base, prime, loose), a table
+    # whose pairs keep base, prime and loose and nothing else; UNAMB_S
+    # and multitree fail every projection and keep their family tables
+    from ncdigraph.inference import _projections, _span_count, coarse_automaton
+
+    fam = parse_property_set("out-tree")
+    coarsest, loose = _projections(fam)[:2]
+    assert _span_count(coarsest, 9) > _span_count(family_automaton(fam), 9) == 9 * 43_263
+    assert coarse_automaton(9, fam) is loose
+    openers = [b for b in loose.symbols if b.is_opener]
+    assert {b.base for b in openers} == {"/", "<", "["}
+    assert len({(b.base, b.primed, b.loose) for b in openers}) == len(openers) == 9
+    for name in ("UNAMB_S", "multitree"):
+        fam = parse_property_set(name)
+        for n in range(3, 10):
+            want = _span_count(family_automaton(fam), n)
+            assert all(_span_count(t, n) != want for t in _projections(fam)), (name, n)
+            assert coarse_automaton(n, fam) is family_automaton(fam)
+
+
+@lru_cache(maxsize=None)
+def _family_program(n, fam):
+    """The replay program of the family table itself, compiled once."""
+    from ncdigraph.inference import _compile
+
+    return _compile(n, family_automaton(fam))[0]
+
+
+def _program_max(program, w, lex):
+    """The answer key of a max replay of `program` and the tie-break's
+    arcs, or None where no member is left."""
+    from ncdigraph.inference import _MaxAlgebra, _replay, _tight_arcs
+
+    cells = _replay(program, _MaxAlgebra(w, lex))
+    if cells[-1] < -w.n * w.n:
+        return None
+    return cells[-1], _tight_arcs(program, cells, w.n)
+
+
+@given(st.sampled_from([name for name in _COARSE_GRID if name not in ("UNAMB_S", "multitree")]),
+       st.integers(min_value=1, max_value=9), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_coarse_parses_equal_the_family_table_parses(name, n, with_lexicon, seed):
+    # the coarse program and the family table's program give the same max
+    # key and the same tie-break, and under a lexicon the same count
+    from ncdigraph.inference import _CountAlgebra, _program, _replay
+
+    fam = _family(name)
+    rng = random.Random(seed)
+    w = random_weights(rng, n, hi=rng.choice((2, 100)))
+    lex = _random_lexicon(rng, n) if with_lexicon else None
+    coarse, full = _program(n, fam), _family_program(n, fam)
+    assert _program_max(coarse, w, lex) == _program_max(full, w, lex)
+    assert _replay(coarse, _CountAlgebra(lex))[-1] == _replay(full, _CountAlgebra(lex))[-1]
 
 
 def test_pair_fold_has_the_grammar_shape():
@@ -1089,9 +1245,9 @@ def test_parse_rejects_lexicon_vertex_out_of_range():
 
 
 def test_chart_entry_points_reject_bad_input_before_caching():
-    from ncdigraph.inference import _PROGRAMS
+    from ncdigraph.inference import _CHARTS, _PROGRAMS
 
-    before = len(_PROGRAMS)
+    before = len(_PROGRAMS), len(_CHARTS)
     for call in (count_family_strings, build_intersection_grammar):
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least 1"):
@@ -1100,7 +1256,7 @@ def test_chart_entry_points_reject_bad_input_before_caching():
             lex = LexicalConstraint({v: frozenset()})
             with pytest.raises(ValueError, match="out of range"):
                 call(3, (), lex)
-    assert len(_PROGRAMS) == before
+    assert (len(_PROGRAMS), len(_CHARTS)) == before
 
 
 def test_weight_matrix_rejects_unrankable_weights():
