@@ -16,37 +16,39 @@ bracket's base, so each pair's orientation and arcs (`TableDfa.project`):
 the first of (base, prime), (base, prime, loose) and (base, prime, the
 classes the family's forbidden factors name) whose chart derives as many
 strings at n as the family table's, else the family table itself.  The
-counts are `_span_count`s, the chart's row rules with positions dropped,
+counts are `_span_count`s, the chart's cell counts with positions dropped,
 so this certificate compiles no program.  It makes the coarse chart exact:
 the bases fix the digraph, so the projection π is injective on the family
 language L, and the coarse language D′ ∩ T′ holds π(L); equal counts make
 it π(L) at n, and the chart over the deterministic T′ is unambiguous, so
 its counts, lexicon counts, max keys and tie-break are the family table's.
-`build_intersection_grammar` and `count_up_sets` compile the family tables
-themselves, and every scan steps them.  Chart
+`build_intersection_grammar` compiles the family tables themselves,
+`count_up_sets` span-counts them, and every scan steps them.  Chart
 items are (vertex, state) nodes: the vertex comes from the chart's position,
 so the chart itself fixes the vertex count (n - 1 boundary pairs), and
-every bracket pair knows its vertex endpoints and its arc weights.  Items are computed by increasing vertex span in one bottom-up
-pass, compiled once per (n, family) into a weight-independent program.  Each
-span has P(a, b) cells that join the span's bracket pairs with end nodes a
-and b, and S cells that join P(a, b) with the S cells continuing from b; a
-pair's inside is the S row of the node after its opener.  The joins thus
-meet endpoints, not pairs (the arc item split from the sequence item, as in
-Eisner 1996), and the program has the shape of the grammar it materializes.
-The compiler keeps only the cells that feed a final cell, so the program is
-the reduced chart, and it stores each kept cell as one row: the join of its
-(left, right) operand pairs.  A bracket pair enters as a pair cell per
-(orientation, u, v), which the algebra fills when a replay starts, so pair
-values, P(a, b) and S cells all have the one row shape.  Many cells differ
-only in their state labels and join the same operands, so every algebra
-gives them one value; the same compile pass hash-conses the kept cells, so
-in the program that is cached and replayed such cells are one cell
-(maximal sharing), and all empty cells are one identity cell.  In that
-program cell 0 is the identity, cells 1..P are the pair cells and the last
-cell is the answer: as in semiring parsing (Goodman 1999), the start
-symbol's value is one more chart item, the join of the final cells.  That
-one program serves counting (a replay with integer counts) and max-weight
-parsing (a replay with integer max-plus keys).
+every bracket pair knows its vertex endpoints and its arc weights.  The
+chart is compiled once per (n, family) into a weight-independent program.
+Each span has P(a, b) cells that join the span's bracket pairs with end
+nodes a and b, and S cells that join P(a, b) with the S cells continuing
+from b; a pair's inside is the S row of the node after its opener.  The
+joins thus meet endpoints, not pairs (the arc item split from the sequence
+item, as in Eisner 1996), and the program has the shape of the grammar it
+materializes.  A cell's count depends only on its span and end states, so
+the compiler counts the cells with positions dropped (`_span_tables`),
+then walks down from the final cells and makes only the cells whose counts
+are positive: the program is the reduced chart, each cell one row, the
+join of its (left, right) operand pairs.  A bracket pair enters as a pair
+cell per (orientation, u, v), which the algebra fills when a replay starts,
+so pair values, P(a, b) and S cells all have the one row shape.  Many cells
+differ only in their state labels and join the same operands, so every
+algebra gives them one value; the compile hash-conses them, so in the
+cached program such cells are one cell (maximal sharing), and all empty
+cells are one identity cell.  In that program cell 0 is the identity,
+cells 1..P are the pair cells and the last cell is the answer: as in
+semiring parsing (Goodman 1999), the start symbol's value is one more chart
+item, the join of the final cells.  That one program serves counting (a
+replay with integer counts) and max-weight parsing (a replay with integer
+max-plus keys).
 The rows come in level batches: a row's level is one more than the highest
 level of its operands, the identity and the pair cells being level 0, and
 a batch holds the rows of one level and one term count, so no row of a
@@ -228,15 +230,12 @@ def _moves(auto: TableDfa) -> tuple:
     return boundary, openers
 
 
-def _span_count(auto: TableDfa, n: int) -> int:
-    """The number of strings the chart of `_compile(n, auto)` derives, by
-    its row rules with the positions dropped: a cell's count depends only
-    on its span and the states at its two ends, so one cell per (span, qa,
-    qc) serves every start vertex.  As in the chart, a state right after
-    an opener heads inside rows, whose first P cell is shorter than the
-    row unless it is the span-1 boundary pair, every other state heads
-    sequence rows, and each span's P cells join its boundary or edge pairs
-    with their insides."""
+def _span_tables(auto: TableDfa, n: int) -> tuple:
+    """(rows, folds): rows[s][qa][qc] counts the derivations of the chart's
+    S cells of span s < n from state qa to qc, folds[s][qa][qb] those of its
+    P cells, by `_compile`'s row rules with the positions dropped, since a
+    cell's count depends only on its span and end states.  Only positive
+    counts are stored, and folds[0] is None."""
     delta = auto.delta
     boundary, moves = _moves(auto)
     inside = {q1 for row in moves for _o, q1, _c in row}
@@ -269,33 +268,14 @@ def _span_count(auto: TableDfa, n: int) -> int:
         folds.append(fold)
         row.update((qa, join(qa, s, range(1, s + 1))) for qa in states if qa not in inside)
         rows.append(row)
+    return rows, folds
+
+
+def _span_count(auto: TableDfa, n: int) -> int:
+    """The number of strings the chart of `_compile(n, auto)` derives, read
+    off `_span_tables` without making a positional cell."""
+    rows, _folds = _span_tables(auto, n)
     return sum(x for qc, x in rows[n - 1][auto.start].items() if auto.final[qc])
-
-
-def _live(n: int, auto: TableDfa, boundary: list, openers: list) -> list:
-    """live[u]: the states the chart may meet at vertex u.  Edge brackets
-    keep the vertex and a boundary pair moves to the next one; a closer
-    counts once its opener was met at an earlier vertex, and matching the
-    brackets is left to the chart."""
-    live = [set() for _ in range(n + 1)]
-    frontier = {auto.start}
-    closable: set = set()  # closer columns of openers met so far
-    for u in range(1, n + 1):
-        seen = live[u] = set(frontier)
-        todo = list(frontier)
-        met = set()
-        while todo:
-            q = todo.pop()
-            nxt = {auto.delta[q][c] for c in closable}
-            for (_o, q1, c) in openers[q]:
-                nxt.add(q1)
-                met.add(c)
-            for q2 in nxt - seen - {-1}:
-                seen.add(q2)
-                todo.append(q2)
-        closable |= met
-        frontier = {boundary[q] for q in seen} - {-1}
-    return live
 
 
 def _compile(n: int, auto: TableDfa):
@@ -320,132 +300,133 @@ def _compile(n: int, auto: TableDfa):
       writes the last cell, the answer: the start symbol S0, which joins
       each final's cell with the identity.  An empty family has no finals
       and no root row, so its answer stays the algebra's zero.
-    - The rest labels the unshared cells for grammar materialization:
-      cell_keys[c] = (kind, a, b), a and b the (vertex, state) nodes at
-      the ends of the cell (a pair cell has the orientation and (u, v)
-      instead); groups maps each cell a join writes to its (lefts,
-      rights), in the order written; openers[c] lists for a P(a, b) cell
-      the opener of each of its pairs, None for a boundary pair; finals
-      lists (final state, cell); shared[c] is the program cell of a kept
-      cell c, or -1.
+    - The rest labels the cells for grammar materialization: cell_keys[c]
+      = (kind, a, b), a and b the (vertex, state) nodes at the ends of the
+      cell (a pair cell has the orientation and (u, v) instead); groups
+      maps each cell a join writes to its (lefts, rights), in post-order,
+      so a group's operands come before it; openers[c] lists for a P(a, b)
+      cell the opener of each of its pairs, None for a boundary pair;
+      finals lists (final state, cell); shared[c] is the program cell of
+      cell c.
 
     Each node heads one row of S cells, by its state: a node right after
-    an opener starts pair insides, every other node sequences.  Each span
-    joins the inside rows (a P cell of a shorter span followed by an S
-    cell; at span 1, a boundary cell), then makes its P(a, b) cells (a
-    pair cell followed by the pair's inside, or a boundary cell followed
-    by the empty S cell at b), then joins the sequence rows (P(a, b) of
-    the span or a shorter one followed by the S cell continuing from b).
-    A cell is made only where a join writes it, so every cell counts > 0;
-    a backward pass from the finals then keeps only the cells some final
-    reads, so the program is the reduced chart.
+    an opener starts pair insides, every other node sequences.  S(a, b) of
+    span s joins each P(a, m) of span p with the S cell from m to b: p < s
+    in an inside row, whose span-1 cell is the boundary pair itself, and
+    p ≤ s in a sequence row, where p = s continues with the empty S(b, b).
+    P(a, b) joins each pair cell with the pair's inside, and at span 1 the
+    boundary pair with S(b, b).  A walk down from the finals S((1, start),
+    (n, qf)), on a stack of its own, makes the cells in post-order and
+    takes only terms whose two operands have positive `_span_tables`
+    counts, so every cell it makes counts > 0 and is read by a final.  It
+    names a cell by an int, `code`, and makes each cell's terms once per
+    (kind, span, end states) at vertex 0, moving them by `shift` per vertex.
 
-    One pass over the kept groups, in program order, then hash-conses
-    them: all empty cells (S(a, a) and the boundary pairs) are the
-    identity and pair cells are 1..P.  A group's terms are mapped to
-    shared cells and sorted, kept as a multiset so that counts stay
-    exact; a one-term group with the identity on a side is the cell on
-    the other side, and a group whose terms were seen before is the cell
-    they made.  The root group comes after this pass, so no cell is
-    merged into the answer.  Each shared group's level is one more than
-    its operands' highest, and the batches gather the rows by (level,
-    term count).  Every group feeds the root, so the root alone has the
-    top level and writes the last cell.
+    One pass over the groups, in post-order, then hash-conses them: all
+    empty cells (S(a, a) and the boundary pairs) are the identity and pair
+    cells are 1..P.  A group's terms are mapped to shared cells and
+    sorted, kept as a multiset so that counts stay exact; a one-term group
+    with the identity on a side is the cell on the other side, and a group
+    whose terms were seen before is the cell they made.  The root group
+    comes after this pass, so no cell is merged into the answer.  Each
+    shared group's level is one more than its operands' highest, and the
+    batches gather the rows by (level, term count).  Every group feeds
+    the root, so the root alone has the top level and writes the last
+    cell.
     """
     delta = auto.delta
     boundary, moves = _moves(auto)
-    live = _live(n, auto, boundary, moves)
     inside = {q1 for row in moves for _o, q1, _c in row}
-    cell_ids: dict = {}
-    groups: dict = {}  # written cell -> (lefts, rights), by first write
+    counts, folds = _span_tables(auto, n)
+    kinds = ("S", "P", "{}", *PAIRS)  # a pair cell's kind is its orientation
+    nq, nv = len(delta), n + 1
+
+    def code(kind, u, qa, v, qb):
+        """The int that stands for the cell (kinds[kind], (u, qa), (v, qb))."""
+        return (((kind * nv + u) * nv + v) * nq + qa) * nq + qb
+
+    def decode(c):
+        """The (kind, u, qa, v, qb) that `code` made c from."""
+        rest, qb = divmod(c, nq)
+        rest, qa = divmod(rest, nq)
+        rest, v = divmod(rest, nv)
+        return (*divmod(rest, nv), qa, v, qb)
+
+    def row(s, q):
+        """The kind of the S cell of span s from state q: an inside row's
+        span-1 cell is its boundary pair."""
+        return 2 if s == 1 and q in inside else 0
+
+    shift = code(0, 1, 0, 1, 0)  # the same cell one vertex to the right is this much more
+    shapes: dict = {}  # cell at vertex 0 -> (lefts, rights, openers of a P cell) at vertex 0
+
+    def shape(kind, s, qa):
+        """Fill `shapes` for the cells (kinds[kind], (0, qa), (s, qb)) of every qb."""
+        by_end: dict = {}  # qb -> [(left, right, opener)]
+        if kind == 0:
+            for p in range(1, s if qa in inside else s + 1):
+                for qm in folds[p].get(qa, ()):
+                    left = code(1, 0, qa, p, qm)
+                    right = code(row(s - p, qm), p, qm, s, 0)
+                    for qc in counts[s - p].get(qm, ()):
+                        by_end.setdefault(qc, []).append((left, right + qc, None))
+        else:
+            if s == 1 and boundary[qa] >= 0:
+                qb = boundary[qa]
+                by_end[qb] = [(code(2, 0, qa, 1, qb), code(0, 1, qb, 1, qb), None)]
+            for o, q1, close in moves[qa]:
+                left = code(kinds.index(o.orientation), 0, 0, s, 0)
+                right = code(row(s, q1), 0, q1, s, 0)
+                for q2 in counts[s].get(q1, ()):
+                    qb = delta[q2][close]
+                    if qb >= 0:
+                        by_end.setdefault(qb, []).append((left, right + q2, o))
+        for qb, got in by_end.items():
+            lefts, rights, pair_openers = zip(*got)
+            shapes[code(kind, 0, qa, s, qb)] = lefts, rights, pair_openers if kind else None
+
+    def expand(c):
+        """The terms of the cell c at vertex 0 and the distance in codes to
+        its own vertex, or None for an empty cell or a pair."""
+        kind, u, qa, v, _qb = decode(c)
+        if kind > 1 or u == v:
+            return None
+        if c - u * shift not in shapes:
+            shape(kind, v - u, qa)
+        return shapes[c - u * shift], u * shift
+
+    ends = [(qf, code(row(n - 1, auto.start), 1, auto.start, n, qf))
+            for qf in counts[n - 1].get(auto.start, ()) if auto.final[qf]]
+    ids: dict = {}  # cell -> its labelled id, in post-order
+    todo: dict = {}  # cell -> `expand(cell)`, while its operands are walked
+    groups: dict = {}  # cell -> (lefts, rights), in post-order
     openers: dict = {}  # P cell -> opener of each of its pairs
+    stack = [c for _qf, c in ends]
+    while stack:
+        c = stack[-1]
+        if c in ids:
+            stack.pop()
+        elif c not in todo and (got := expand(c)):
+            todo[c] = got
+            (lefts, rights, _o), move = got
+            stack += [x + move for x in lefts + rights if x + move not in ids]
+        else:
+            stack.pop()
+            d = ids[c] = len(ids)
+            if got := todo.pop(c, None):
+                (lefts, rights, pair_openers), move = got
+                groups[d] = ([ids[x + move] for x in lefts], [ids[x + move] for x in rights])
+                if pair_openers is not None:
+                    openers[d] = pair_openers
+    finals = [(qf, ids[c]) for qf, c in ends]
+    nodes = [[(u, q) for q in range(nq)] for u in range(nv)]  # interned
+    keys = [(kinds[kind], nodes[u][qa], nodes[v][qb]) if kind < 3 else ("pair", kinds[kind], (u, v))
+            for kind, u, qa, v, qb in map(decode, ids)]
+    del counts, folds, shapes, ids, nodes
 
-    def cell(kind, a, b):
-        return cell_ids.setdefault((kind, a, b), len(cell_ids))
-
-    def join(s, spans, heads_inside):
-        for p in spans:
-            for (a, b), f in p_cells[p].items():
-                rest = rows[s - p].get(b)
-                if not rest or (a[1] in inside) != heads_inside:
-                    continue
-                row = rows[s].setdefault(a, {})
-                for c, src in rest.items():
-                    dst = row.get(c)
-                    if dst is None:
-                        dst = row[c] = cell("S", a, c)
-                        groups[dst] = ([], [])
-                    lefts, rights = groups[dst]
-                    lefts.append(f)
-                    rights.append(src)
-
-    def fold(s, a, b, left, right, opener):
-        f = p_cells[s].get((a, b))
-        if f is None:
-            f = p_cells[s][a, b] = cell("P", a, b)
-            groups[f], openers[f] = ([], []), []
-        groups[f][0].append(left)
-        groups[f][1].append(right)
-        openers[f].append(opener)
-
-    empty_cells = []
-    rows = [dict() for _ in range(n)]  # span -> a -> {b: S cell}
-    for u in range(1, n + 1):
-        for q in live[u]:
-            a = (u, q)
-            c = cell("S", a, a)
-            rows[0][a] = {a: c}
-            empty_cells.append(c)
-    p_cells = [dict() for _ in range(n)]  # span -> (a, b) -> P cell
-    for s in range(1, n):
-        join(s, range(1, s), True)
-        if s == 1:
-            # boundary pairs; each is also the whole inside of a span-1
-            # edge pair
-            for u in range(1, n):
-                for q in live[u]:
-                    if boundary[q] < 0:
-                        continue
-                    a, b = (u, q), (u + 1, boundary[q])
-                    c = cell("{}", a, b)
-                    empty_cells.append(c)
-                    if q in inside:
-                        rows[s][a] = {b: c}
-                    fold(s, a, b, c, rows[0][b][b], None)
-        for u in range(1, n - s + 1):
-            v = u + s
-            for qa in live[u]:
-                for (o, q1, close) in moves[qa]:
-                    for (_v, q2), ccell in rows[s].get((u, q1), {}).items():
-                        qb = delta[q2][close]
-                        if qb >= 0:
-                            k = cell("pair", o.orientation, (u, v))
-                            fold(s, (u, qa), (v, qb), k, ccell, o)
-        join(s, range(1, s + 1), False)
-    whole = rows[n - 1].get((1, auto.start), {})
-    finals = [(qf, c) for (_n, qf), c in whole.items() if auto.final[qf]]
-    keys = list(cell_ids)
-    del live, rows, p_cells, cell_ids, whole
-
-    # every input of a group was written earlier, so one backward pass
-    # marks all that some final reads
-    needed = bytearray(len(keys))
-    for _qf, c in finals:
-        needed[c] = 1
-    for dst, (lefts, rights) in reversed(groups.items()):
-        if needed[dst]:
-            for c in lefts:
-                needed[c] = 1
-            for c in rights:
-                needed[c] = 1
-
-    # hash-cons the kept cells in program order
-    shared = [-1] * len(keys)
-    for c in empty_cells:
-        if needed[c]:
-            shared[c] = 0
-    pair_cells = [(c, key[1], *key[2]) for c, key in enumerate(keys)
-                  if key[0] == "pair" and needed[c]]
+    # hash-cons the cells in post-order
+    shared = [0] * len(keys)  # the empty cells stay the identity
+    pair_cells = [(c, key[1], *key[2]) for c, key in enumerate(keys) if key[0] == "pair"]
     for i, (c, _o, _u, _v) in enumerate(pair_cells, 1):
         shared[c] = i
     made: dict = {}  # sorted terms as (l0 .. l(k-1), r0 .. r(k-1)) -> shared cell
@@ -453,8 +434,6 @@ def _compile(n: int, auto: TableDfa):
     level = [0] * (len(pair_cells) + 1)  # shared cell -> 1 + its operands' top level
     at = shared.__getitem__
     for dst, (lefts, rights) in groups.items():
-        if not needed[dst]:
-            continue
         terms = sorted(zip(map(at, lefts), map(at, rights)))
         if len(terms) == 1 and 0 in terms[0]:
             left, right = terms[0]
@@ -673,15 +652,16 @@ def count_up_sets(n: int, props: Iterable) -> dict:
     the properties of req.  The subsets are walked depth first, adding
     properties in `p.value` order, so each family's table is its parent's
     table times one constraint table, as `family_automaton` folds it.
-    Only the tables on the current path and the one program being counted
-    are alive at a time, and none is cached: 2^|props| families would
-    otherwise leave 2^|props| tables and programs behind."""
+    Each table is counted by `_span_count`, so no program is compiled.
+    Only the tables on the current path are alive at a time, and none is
+    cached: 2^|props| families would otherwise leave 2^|props| tables
+    behind."""
     _check(n, None)
     props = sorted(set(props), key=lambda p: p.value)
     counts: dict = {}
 
     def walk(req: frozenset, auto: TableDfa, first: int) -> None:
-        counts[req] = _replay(_compile(n, auto)[0], _CountAlgebra())[-1]
+        counts[req] = _span_count(auto, n)
         for i in range(first, len(props)):
             walk(req | {props[i]}, auto.product(constraint_dfa(props[i])), i + 1)
 
@@ -703,9 +683,14 @@ def build_intersection_grammar(n: int, req: Iterable = (),
     final gives S0 → S.  A labelled cell counts what its shared cell counts
     in one replay of the program.  The joins, pairs and finals that count
     0 under the lexicon are left out, and so is every nonterminal only
-    they reach.  The productions come in the order the walk meets them,
-    which depends on no hash seed: it walks ints and insertion-ordered
-    dicts.  The grammar reads the family table's states, so it keeps that
+    they reach.  The productions come in this order: S0 → S per final,
+    then each reached group's in the reverse of the compile's post-order,
+    which puts a group before the groups it reads, then S → ε per reached
+    span-0 cell.  So the start's productions come first, and a production
+    that names a nonterminal comes before that nonterminal's own.  The
+    order depends on no hash seed: the compile and this pass walk ints,
+    lists and insertion-ordered dicts.
+    The grammar reads the family table's states, so it keeps that
     labelled compile per (n, family) in a cache of its own, apart from the
     coarse programs that counts and parses replay.
     """

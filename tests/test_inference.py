@@ -439,8 +439,8 @@ def _times_join(alg):
 
 def _labelled_values(alg, keys, groups):
     """Reference replay of the compiler's labelled groups, one term at a
-    time: the value of every cell the compiler made, before the trim and
-    the sharing."""
+    time: the value of every cell the compiler made, before the
+    sharing."""
     times, join = _times_join(alg)
     pairs = [(c, key[1], *key[2]) for c, key in enumerate(keys) if key[0] == "pair"]
     values = dict(zip([c for c, _o, _u, _v in pairs], alg.pairs(pairs)))
@@ -470,24 +470,57 @@ def _kept_program(keys, shared, groups, finals):
 def test_compiled_program_leaves_no_dead_value():
     # the program is the reduced chart: every cell, pair value and P(a, b)
     # cell the compiler keeps counts > 0 and is read, through the labelled
-    # groups, by a final
-    from ncdigraph.inference import _compile, _CountAlgebra
+    # groups, by a final.  The compiler makes only cells it keeps, so every
+    # labelled cell has a shared cell, on the family and the coarse tables
+    from ncdigraph.inference import _compile, _CountAlgebra, coarse_automaton
 
     for fam in _PROGRAM_FAMS:
         for n in (1, 2, 3, 4, 5):
-            _prog, (keys, shared, groups, openers, finals) = _compile(n, family_automaton(fam))
-            labelled, empty, kept = _kept_program(keys, shared, groups, finals)
-            cells = _labelled_values(_CountAlgebra(), keys, groups)
-            assert len(shared) == len(keys) == len(cells)
-            assert all(cells[c] > 0 for c in kept)
-            assert all(cells[left] * cells[right] > 0
-                       for _dst, lefts, rights in labelled[2]
-                       for left, right in zip(lefts, rights))
-            folds = [c for c in kept if keys[c][0] == "P"]
-            assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
-            assert sorted(set(openers) & set(kept)) == folds
-            assert all(keys[f][0] == "P" for f in openers)
-            _assert_set_once_and_coreachable(*labelled, empty, kept + [labelled[0] - 1])
+            for auto in (family_automaton(fam), coarse_automaton(n, fam)):
+                _prog, (keys, shared, groups, openers, finals) = _compile(n, auto)
+                assert all(s >= 0 for s in shared), (n, sorted(fam), len(auto.delta))
+                labelled, empty, kept = _kept_program(keys, shared, groups, finals)
+                cells = _labelled_values(_CountAlgebra(), keys, groups)
+                assert len(shared) == len(keys) == len(cells)
+                assert all(cells[c] > 0 for c in kept)
+                assert all(cells[left] * cells[right] > 0
+                           for _dst, lefts, rights in labelled[2]
+                           for left, right in zip(lefts, rights))
+                folds = [c for c in kept if keys[c][0] == "P"]
+                assert (n > 1) == bool(folds) and all(cells[f] > 0 for f in folds)
+                assert sorted(set(openers) & set(kept)) == folds
+                assert all(keys[f][0] == "P" for f in openers)
+                _assert_set_once_and_coreachable(*labelled, empty, kept + [labelled[0] - 1])
+
+
+def test_compile_builds_only_the_terms_it_keeps():
+    # at n = 20 each coarse table's labelled compile holds exactly the
+    # terms of its kept cells; a compile that built forward and trimmed
+    # afterwards made 29,565 terms for out-tree and 7,922 for mixed-tree
+    from ncdigraph.inference import _compile, coarse_automaton
+
+    want = {"out-tree": 16_168, "mixed-tree": 5_413, "polytree": 4_881, "PROJ_W": 19_060,
+            "": 5_262}
+    got = {}
+    for name in want:
+        _prog, (keys, shared, groups, _openers, _finals) = _compile(
+            20, coarse_automaton(20, _family(name)))
+        assert all(s >= 0 for s in shared), name
+        got[name] = sum(len(lefts) for lefts, _rights in groups.values())
+    assert got == want
+
+
+def test_compile_walk_depth_does_not_grow_with_n():
+    # a two-state table over { } alone: its one string at n is n - 1
+    # boundary pairs, so the chart is one chain of n - 1 S cells, each
+    # reading the next.  The compile walks it on a stack of its own, so
+    # n = 1,100 is past the interpreter's default recursion limit of 1,000
+    from ncdigraph.cfg import TableDfa
+    from ncdigraph.inference import _compile, _CountAlgebra, _replay
+    from ncdigraph.latent import BOUNDARY_CLOSE, BOUNDARY_OPEN
+
+    table = TableDfa((BOUNDARY_OPEN, BOUNDARY_CLOSE), ((1, -1), (-1, 0)), (True, False))
+    assert _replay(_compile(1_100, table)[0], _CountAlgebra())[-1] == 1
 
 
 _SHARED_CASES = ([(frozenset(), n) for n in range(1, 10)]
@@ -664,8 +697,11 @@ def test_shared_program_sizes():
         ncells, _pairs, rows, batches = program
         return ncells, len(rows), sum(len(row) >> 1 for row in rows), len(batches)
 
-    assert sizes(_compile(9, family_automaton(frozenset()))[0]) == (1_600, 1_491, 11_952, 149)
+    program, (keys, _shared, groups, _openers, _finals) = _compile(9, family_automaton(frozenset()))
+    assert sizes(program) == (1_600, 1_491, 11_952, 149)
     assert sizes(_program(9)) == (201, 92, 324, 23)
+    assert (len(keys), len(groups), sum(len(lefts) for lefts, _rights in groups.values())) == (
+        4_193, 3_857, 24_260)
 
 
 def test_each_algebra_compiles_the_kernels_it_replays(monkeypatch):
@@ -1006,7 +1042,8 @@ def test_pair_fold_has_the_grammar_shape():
     _prog, (keys, shared, groups, _openers, _finals) = _compile(9, family_automaton(frozenset()))
     joins = sum(len(lefts) for dst, (lefts, _rights) in groups.items()
                 if shared[dst] >= 0 and keys[dst][0] != "P")
-    # 169,631 before the fold, 25,639 before the trim to the reduced chart
+    # a chart without the fold joined 169,631 times, and one built forward
+    # and then trimmed to the reduced chart built 25,639 joins
     assert joins == 12_088
 
 
@@ -1040,6 +1077,35 @@ print(repr(build_intersection_grammar(4).productions))
         out.append(proc.stdout)
     assert out[0] == out[1]
     assert len(out[0].splitlines()) == 2 and "S0" in out[0]
+
+
+# the family specs of scripts/sweep_outputs.py
+_SWEEP_FAMILIES = ("", "OUT", "INV", "ORIENTED", "PROJ_W", "ACYC_D", "ACYC_U", "CONN_W",
+                   "UNAMB_S", "polytree", "mixed-tree", "multitree", "wc-dag", "out-tree",
+                   "OUT,PROJ_W", "ORIENTED,ACYC_U,CONN_W")
+
+
+def test_grammar_productions_come_in_the_stated_order():
+    # whatever order the compile numbers its cells in, the start's
+    # productions come first, and every production that names another
+    # nonterminal comes before that nonterminal's first production
+    rng = random.Random(29)
+    for name in _SWEEP_FAMILIES:
+        for n in (1, 2, 3, 4):
+            for lex in (None, _random_lexicon(rng, n)):
+                productions = build_intersection_grammar(n, _family(name), lex).productions
+                starts = [i for i, (lhs, _rhs) in enumerate(productions) if lhs == ("S0",)]
+                assert starts == list(range(len(starts))) and starts, (name, n, lex)
+                first: dict = {}  # nonterminal -> index of its first production
+                for i, (lhs, _rhs) in enumerate(productions):
+                    first.setdefault(lhs, i)
+                named: dict = {}  # nonterminal -> index of the last production naming it
+                for i, (lhs, rhs) in enumerate(productions):
+                    for sym in rhs:
+                        if sym in first and sym != lhs:
+                            named[sym] = i
+                assert set(named) == set(first) - {("S0",)}, (name, n, lex)
+                assert all(named[x] < first[x] for x in named), (name, n, lex)
 
 
 def _reduced(g):
